@@ -10,17 +10,17 @@
 //	loas flow                  proposed vs traditional flow comparison
 //	loas netlist [-case N]     print the extracted SPICE-like netlist
 //	loas synth [-topology T] [-case N] [-refine] [-json]  one layout-in-the-loop synthesis
+//	                           (-skipverify: only the convergence loop, ending in its trace table)
 //	loas topologies            list the registered design plans
 //	loas mc [-topology T] [-n N] [-json]  Monte-Carlo mismatch offset analysis
 //	loas techeval              technology characterization report
 //	loas twostage              size the two-stage Miller OTA
 //	loas converge              per-call parasitic convergence trace
-//	loas trace [-case N] [-json]   convergence trace with per-phase timings
 //	loas corners [-topology T] process-corner verification
 //	loas serve [flags]         run the loasd synthesis daemon (alias)
 //	loas batch [-f file | -n N] [-json]    fan many synthesize requests through the daemon
 //	loas explore [-gbw ...] [-mode M] [-json]  spec-grid sweep / guided search via the daemon
-//	loas runs [-addr URL]      list the daemon's recent runs
+//	loas runs [-addr URL] [-key K] [-layout L]  list the daemon's recent runs
 //	loas show <run-id>         one run's span tree + convergence trace
 //	loas tail [-addr URL]      follow the daemon's live run events (SSE)
 //	loas replay [-ledger file] [-addr URL] [-c N] [-rate R]  replay a recorded ledger as live load
@@ -117,8 +117,6 @@ func run(cmd string, args []string, out io.Writer) error {
 		}
 		_, err = io.WriteString(out, repro.ConvergenceText(pts))
 		return err
-	case "trace":
-		return runTrace(tech, spec, args, out)
 	case "corners":
 		return runCorners(tech, args, out)
 	case "serve":
@@ -142,7 +140,7 @@ func run(cmd string, args []string, out io.Writer) error {
 
 func usage() {
 	fmt.Fprintln(os.Stderr,
-		`usage: loas <fig2|fig3|table1|fig5|flow|netlist|synth|topologies|layouts|mc|techeval|twostage|converge|trace|corners|serve|batch|explore|runs|show|tail|replay> [flags]`)
+		`usage: loas <fig2|fig3|table1|fig5|flow|netlist|synth|topologies|layouts|mc|techeval|twostage|converge|corners|serve|batch|explore|runs|show|tail|replay> [flags]`)
 }
 
 // topoSpec resolves a -topology flag value to its canonical plan name
@@ -193,54 +191,6 @@ func runMC(tech *techno.Tech, args []string, out io.Writer) error {
 	fmt.Fprintf(out, "  mean  %8.3f mV\n  sigma %8.3f mV\n  worst %8.3f mV\n",
 		st.MeanV*1e3, st.SigmaV*1e3, st.WorstAbsV*1e3)
 	fmt.Fprintf(out, "  analytic estimate: %8.3f mV\n", rep.AnalyticSigmaV*1e3)
-	return nil
-}
-
-// runTrace is the observability view of the synthesis loop: it runs one
-// case and prints (or emits as JSON) the per-iteration convergence
-// events the engine recorded — the paper's "three calls of the layout
-// tool were needed" narrative as structured output, with per-phase wall
-// time. The same events back the loasd GET /v1/trace/{key} endpoint.
-func runTrace(tech *techno.Tech, spec sizing.OTASpec, args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("trace", flag.ExitOnError)
-	caseN := fs.Int("case", 4, "Table-1 case to trace (1-4)")
-	maxCalls := fs.Int("maxcalls", 8, "layout-call bound of the convergence loop")
-	asJSON := fs.Bool("json", false, "emit the iterations as JSON (same events as GET /v1/trace/{key})")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	res, err := core.Synthesize(tech, spec, core.Options{
-		Case:           *caseN,
-		MaxLayoutCalls: *maxCalls,
-		SkipVerify:     true,
-	})
-	if err != nil {
-		return err
-	}
-	converged := obs.Converged(res.Trace, 1e-15)
-	if *asJSON {
-		return writeJSON(out, struct {
-			Case       int             `json:"case"`
-			Converged  bool            `json:"converged"`
-			Iterations []obs.Iteration `json:"iterations"`
-		}{*caseN, converged, res.Trace})
-	}
-	if _, err := io.WriteString(out, obs.ConvergenceTable(res.Trace)); err != nil {
-		return err
-	}
-	var sizingNS, layoutNS int64
-	for _, it := range res.Trace {
-		sizingNS += it.SizingNS
-		layoutNS += it.LayoutNS
-	}
-	fmt.Fprintf(out, "case %d: %d layout calls, %d sizing passes; sizing %.1f ms, layout %.1f ms",
-		*caseN, res.LayoutCalls, res.SizingPasses,
-		float64(sizingNS)/1e6, float64(layoutNS)/1e6)
-	if converged {
-		fmt.Fprintf(out, "; parasitics converged (Δ < 1 fF)\n")
-	} else {
-		fmt.Fprintf(out, "; no layout feedback requested, single pass\n")
-	}
 	return nil
 }
 
@@ -416,15 +366,12 @@ func runSynth(tech *techno.Tech, args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	// Canonicalize the backend name, with the default elided like the
-	// daemon's request normalization, so ledger records and JSON output
-	// match loasd byte for byte.
-	layName, err := layout.CanonicalName(*layoutName)
+	// Canonicalize the backend name like the daemon's request
+	// normalization, so ledger records and JSON output match loasd byte
+	// for byte.
+	layName, err := serve.CanonicalLayout(*layoutName)
 	if err != nil {
 		return err
-	}
-	if layName == layout.DefaultBackend {
-		layName = ""
 	}
 
 	// With -ledger, the run is recorded exactly like a daemon run —

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"loas/internal/obs"
 )
 
 // runOut drives one subcommand's handler in-process and returns its
@@ -110,36 +112,6 @@ func TestSmokeConverge(t *testing.T) {
 	runOut(t, "converge")
 }
 
-func TestSmokeTrace(t *testing.T) {
-	out := runOut(t, "trace")
-	for _, want := range []string{"Parasitic convergence", "layout calls", "converged"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("trace output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestSmokeTraceJSON(t *testing.T) {
-	out := runOut(t, "trace", "-json", "-case", "4")
-	var rep struct {
-		Case       int  `json:"case"`
-		Converged  bool `json:"converged"`
-		Iterations []struct {
-			Call   int     `json:"call"`
-			DeltaF float64 `json:"delta_f"`
-		} `json:"iterations"`
-	}
-	if err := json.Unmarshal([]byte(out), &rep); err != nil {
-		t.Fatalf("trace -json not parseable: %v\n%s", err, out)
-	}
-	if rep.Case != 4 || !rep.Converged || len(rep.Iterations) < 2 {
-		t.Fatalf("trace report implausible: %+v", rep)
-	}
-	if rep.Iterations[0].DeltaF != -1 {
-		t.Fatalf("first iteration delta = %g, want -1 sentinel", rep.Iterations[0].DeltaF)
-	}
-}
-
 func TestSmokeFig5(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fig5 runs a full case-4 synthesis")
@@ -199,6 +171,9 @@ func TestSmokeSynthEveryTopology(t *testing.T) {
 	}
 }
 
+// TestSmokeSynthJSON: `synth -skipverify -json` is the scriptable
+// convergence trace — a labelled iteration per layout call, the first
+// with the -1 "no previous report" sentinel, ending at a fixpoint.
 func TestSmokeSynthJSON(t *testing.T) {
 	out := runOut(t, "synth", "-topology", "five-t", "-json", "-skipverify")
 	var rep struct {
@@ -206,10 +181,7 @@ func TestSmokeSynthJSON(t *testing.T) {
 			Topology    string `json:"topology"`
 			LayoutCalls int    `json:"layout_calls"`
 		} `json:"summary"`
-		Iterations []struct {
-			Topology string `json:"topology"`
-			Call     int    `json:"call"`
-		} `json:"iterations"`
+		Iterations []obs.Iteration `json:"iterations"`
 	}
 	if err := json.Unmarshal([]byte(out), &rep); err != nil {
 		t.Fatalf("synth -json not parseable: %v\n%s", err, out)
@@ -219,6 +191,12 @@ func TestSmokeSynthJSON(t *testing.T) {
 	}
 	if len(rep.Iterations) < 2 || rep.Iterations[0].Topology != "five-t" {
 		t.Fatalf("iterations not labelled: %+v", rep.Iterations)
+	}
+	if rep.Iterations[0].DeltaF != -1 {
+		t.Fatalf("first iteration delta = %g, want -1 sentinel", rep.Iterations[0].DeltaF)
+	}
+	if !obs.Converged(rep.Iterations, 1e-15) {
+		t.Fatalf("trace did not converge: %+v", rep.Iterations)
 	}
 }
 

@@ -48,6 +48,8 @@ func runRuns(args []string, out io.Writer) error {
 	kind := fs.String("kind", "", "only runs of this kind (synthesize|table1|mc|layout.svg|batch|explore)")
 	outcome := fs.String("outcome", "", "only runs with this outcome (ok|cache-hit|dedup|error)")
 	parent := fs.String("parent", "", "only children of this batch/explore run ID")
+	key := fs.String("key", "", "only runs under this content-addressed key (the X-Loas-Key response header)")
+	layoutName := fs.String("layout", "", "only runs on this layout backend (see `loas layouts`)")
 	converged := fs.String("converged", "", "only converged (true) or unconverged (false) runs")
 	minDur := fs.Duration("min-duration", 0, "only runs at least this long (e.g. 150ms)")
 	limit := fs.Int("limit", 20, "maximum rows")
@@ -58,7 +60,7 @@ func runRuns(args []string, out io.Writer) error {
 	q := url.Values{}
 	for k, v := range map[string]string{
 		"topology": *topology, "kind": *kind, "outcome": *outcome,
-		"converged": *converged, "parent": *parent,
+		"converged": *converged, "parent": *parent, "key": *key, "layout": *layoutName,
 	} {
 		if v != "" {
 			q.Set(k, v)

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -27,17 +28,12 @@ type cannedBackend struct {
 	calls atomic.Int64
 }
 
-func (b *cannedBackend) Synthesize(ctx context.Context, _ sizing.OTASpec, req *serve.SynthesizeRequest) ([]byte, []obs.Iteration, error) {
-	iters := []obs.Iteration{
-		{Topology: req.Topology, Call: 1, DeltaF: -1, Folds: 8},
-		{Topology: req.Topology, Call: 2, DeltaF: 0.2e-15, Folds: 8},
-	}
+func (b *cannedBackend) Synthesize(ctx context.Context, _ sizing.OTASpec, req *serve.SynthesizeRequest) ([]byte, error) {
 	tr := obs.TraceFromContext(ctx)
-	for _, it := range iters {
-		tr.Record(it)
-	}
+	tr.Record(obs.Iteration{Topology: req.Topology, Call: 1, DeltaF: -1, Folds: 8})
+	tr.Record(obs.Iteration{Topology: req.Topology, Call: 2, DeltaF: 0.2e-15, Folds: 8})
 	n := b.calls.Add(1)
-	return []byte(fmt.Sprintf("{\"call\":%d}\n", n)), iters, nil
+	return []byte(fmt.Sprintf("{\"call\":%d}\n", n)), nil
 }
 func (b *cannedBackend) Table1(context.Context, sizing.OTASpec) ([]byte, error) {
 	return []byte("{}\n"), nil
@@ -76,6 +72,39 @@ func TestSmokeRunsAndShow(t *testing.T) {
 	}
 	if out := runOut(t, "runs", "-addr", url, "-outcome", "cache-hit"); strings.Contains(out, "run-000001") {
 		t.Fatalf("outcome filter leaked the cold run:\n%s", out)
+	}
+	// -key finds both runs of the request (the X-Loas-Key value, echoed
+	// by `show` as the cache key); -layout canonicalizes the backend name.
+	if resp, data := postJSON(t, url+"/v1/synthesize", `{"case":3,"layout":"rows"}`); resp != 200 {
+		t.Fatalf("synthesize status %d: %s", resp, data)
+	}
+	var rec obs.RunRecord
+	if err := json.Unmarshal([]byte(runOut(t, "show", "-addr", url, "-json", "run-000001")), &rec); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args     []string
+		has, not []string
+	}{
+		{[]string{"-key", rec.CacheKey}, []string{"run-000001", "run-000002"}, []string{"run-000003"}},
+		{[]string{"-key", "deadbeef"}, nil, []string{"run-000001", "run-000002", "run-000003"}},
+		{[]string{"-layout", "rows"}, []string{"run-000003"}, []string{"run-000001", "run-000002"}},
+		{[]string{"-layout", "slicing"}, []string{"run-000001", "run-000002"}, []string{"run-000003"}},
+	} {
+		out := runOut(t, "runs", append([]string{"-addr", url}, tc.args...)...)
+		for _, id := range tc.has {
+			if !strings.Contains(out, id) {
+				t.Fatalf("runs %v missing %s:\n%s", tc.args, id, out)
+			}
+		}
+		for _, id := range tc.not {
+			if strings.Contains(out, id) {
+				t.Fatalf("runs %v leaked %s:\n%s", tc.args, id, out)
+			}
+		}
+	}
+	if err := run("runs", []string{"-addr", url, "-layout", "bogus"}, &bytes.Buffer{}); err == nil {
+		t.Fatal("runs -layout bogus should fail")
 	}
 
 	show := runOut(t, "show", "-addr", url, "run-000001")

@@ -7,9 +7,10 @@
 // The package sits at the bottom of the dependency graph — it imports
 // nothing from the rest of the module — so every layer (sizing, layout,
 // mc, serve, the CLIs) can record into it without cycles. Trace events
-// flow upward attached to results (core.Result.Trace, the loasd
-// /v1/trace/{key} endpoint, `loas trace`); metrics flow outward through
-// Registry.WritePrometheus (the loasd /metrics endpoint).
+// flow upward attached to results (core.Result.Trace, the run records
+// behind the loasd /v1/runs endpoints, `loas synth`); metrics flow
+// outward through Registry.WritePrometheus (the loasd /metrics
+// endpoint).
 package obs
 
 import (
@@ -21,7 +22,7 @@ import (
 // Iteration is one sizing↔layout call of the convergence loop — the
 // structured form of one row of the paper's §5 story ("three calls of
 // the layout tool were needed"). The JSON tags are the wire format of
-// GET /v1/trace/{key} and `loas trace -json`.
+// RunRecord iterations (GET /v1/runs/{id}) and `loas synth -json`.
 type Iteration struct {
 	// Topology labels the design plan that produced the iteration
 	// (omitted on the wire when unset, so traces recorded before the
@@ -112,7 +113,7 @@ func (t *Trace) Len() int {
 }
 
 // ConvergenceTable renders iterations as the human-readable convergence
-// table (`loas trace`, `loas converge`): one row per layout call with
+// table (`loas synth`, `loas show`, `loas converge`): one row per layout call with
 // the parasitic delta, the two hot-net capacitances, the design point
 // and the per-phase wall time. Traces produced by the closed-loop
 // refinement (any iteration with Round > 0) gain a leading round

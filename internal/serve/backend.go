@@ -41,17 +41,10 @@ func (r *SynthesizeRequest) normalize() error {
 	// Canonicalize before keying: an absent topology and the explicit
 	// default hash to the same cache entry.
 	r.Topology = plan.Name
-	// Same for the layout backend, with the default elided rather than
-	// spelled out — the default backend's wire format (request echoes,
-	// summaries) predates the registry and must stay byte-identical.
-	lay, err := layout.CanonicalName(r.Layout)
-	if err != nil {
+	// Same for the layout backend.
+	if r.Layout, err = CanonicalLayout(r.Layout); err != nil {
 		return err
 	}
-	if lay == layout.DefaultBackend {
-		lay = ""
-	}
-	r.Layout = lay
 	if r.Case == 0 {
 		r.Case = 4
 	}
@@ -83,6 +76,20 @@ func (r *SynthesizeRequest) normalize() error {
 		return fmt.Errorf("refine_margin_step must be in (0, 2], got %g", r.RefineMarginStep)
 	}
 	return nil
+}
+
+// CanonicalLayout resolves a layout backend name to the spelling that
+// requests, cache keys and run records carry: the registered name, with
+// the default backend elided to "" rather than spelled out — the default
+// backend's wire format (request echoes, summaries, ledgers) predates
+// the registry and must stay byte-identical. Unknown names are errors
+// listing the registered backends.
+func CanonicalLayout(name string) (string, error) {
+	lay, err := layout.CanonicalName(name)
+	if err != nil || lay == layout.DefaultBackend {
+		return "", err
+	}
+	return lay, nil
 }
 
 func (r *SynthesizeRequest) cacheKey(tech *techno.Tech, spec sizing.OTASpec) string {
@@ -181,12 +188,12 @@ func layoutCacheKey(tech *techno.Tech, spec sizing.OTASpec) string {
 
 // Backend produces response bodies for the server. Implementations
 // must be safe for concurrent use; the returned bytes are cached and
-// replayed verbatim. Synthesize additionally returns the per-iteration
-// convergence events of the run (nil is fine), which the server retains
-// for GET /v1/trace/{key}. Tests substitute a counting stub to pin down
-// the cache and dedup behaviour without paying for real synthesis.
+// replayed verbatim. Convergence iterations go to the obs.Trace carried
+// by ctx, which becomes the run record's Iterations. Tests substitute a
+// counting stub to pin down the cache and dedup behaviour without
+// paying for real synthesis.
 type Backend interface {
-	Synthesize(ctx context.Context, spec sizing.OTASpec, req *SynthesizeRequest) ([]byte, []obs.Iteration, error)
+	Synthesize(ctx context.Context, spec sizing.OTASpec, req *SynthesizeRequest) ([]byte, error)
 	Table1(ctx context.Context, spec sizing.OTASpec) ([]byte, error)
 	MC(ctx context.Context, spec sizing.OTASpec, req *MCRequest) ([]byte, error)
 	LayoutSVG(ctx context.Context, spec sizing.OTASpec) ([]byte, error)
@@ -197,11 +204,11 @@ type StdBackend struct {
 	Tech *techno.Tech
 }
 
-// Synthesize runs one Table-1 case and returns its JSON summary plus
-// the convergence trace of the run. A span or live trace carried by ctx
-// (the daemon's per-run recorder) is handed to the engine, so the run's
-// span tree covers every sizing/layout/verify phase.
-func (b *StdBackend) Synthesize(ctx context.Context, spec sizing.OTASpec, req *SynthesizeRequest) ([]byte, []obs.Iteration, error) {
+// Synthesize runs one Table-1 case and returns its JSON summary. A span
+// or live trace carried by ctx (the daemon's per-run recorder) is handed
+// to the engine, so the run's span tree covers every sizing/layout/verify
+// phase and the trace receives every convergence iteration.
+func (b *StdBackend) Synthesize(ctx context.Context, spec sizing.OTASpec, req *SynthesizeRequest) ([]byte, error) {
 	res, err := core.Synthesize(b.Tech, spec, core.Options{
 		Topology:       req.Topology,
 		Case:           req.Case,
@@ -218,15 +225,11 @@ func (b *StdBackend) Synthesize(ctx context.Context, spec sizing.OTASpec, req *S
 		},
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	s := res.Summary()
 	s.Case = req.Case
-	body, err := marshalJSON(s)
-	if err != nil {
-		return nil, nil, err
-	}
-	return body, res.Trace, nil
+	return marshalJSON(s)
 }
 
 // Table1 runs all four cases (concurrently, via core.SynthesizeAll) and

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"loas/internal/obs"
 	"loas/internal/sizing"
 )
 
@@ -57,8 +56,8 @@ func TestBatchDedupExactSyntheses(t *testing.T) {
 	if got := stub.calls.Load(); got != k {
 		t.Fatalf("backend ran %d times for %d items with %d unique specs, want %d", got, n, k, k)
 	}
-	if st := s.Stats(); st.BackendRuns != k {
-		t.Fatalf("stats backend runs = %d, want %d", st.BackendRuns, k)
+	if runs := s.backendRuns.Load(); runs != k {
+		t.Fatalf("backend runs = %d, want %d", runs, k)
 	}
 
 	// Submission order, one leader per unique key, duplicates reused.
@@ -285,10 +284,10 @@ type caseFailingBackend struct {
 	failCase int
 }
 
-func (b *caseFailingBackend) Synthesize(ctx context.Context, spec sizing.OTASpec, req *SynthesizeRequest) ([]byte, []obs.Iteration, error) {
+func (b *caseFailingBackend) Synthesize(ctx context.Context, spec sizing.OTASpec, req *SynthesizeRequest) ([]byte, error) {
 	if req.Case == b.failCase {
 		b.calls.Add(1)
-		return nil, nil, fmt.Errorf("sizing: case %d is out of reach", req.Case)
+		return nil, fmt.Errorf("sizing: case %d is out of reach", req.Case)
 	}
 	return b.stubBackend.Synthesize(ctx, spec, req)
 }

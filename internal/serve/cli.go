@@ -88,8 +88,7 @@ func CLI(args []string, out io.Writer) error {
 	defer cancel()
 	err = hs.Shutdown(sctx)
 	srv.Close()
-	st := srv.Stats()
-	fmt.Fprintf(out, "loasd: served %d requests (%d cache hits, %d dedup, %d backend runs)\n",
-		st.Served, st.Cache.Hits, st.DedupJoined, st.BackendRuns)
+	fmt.Fprintf(out, "loasd: %d requests (%d cache hits, %d dedup, %d backend runs)\n",
+		srv.requests.Load(), srv.cache.Stats().Hits, srv.flight.Joined(), srv.backendRuns.Load())
 	return err
 }

@@ -89,19 +89,9 @@ func TestEndToEndDaemon(t *testing.T) {
 		t.Fatal("cache hit is not byte-identical to the cold response")
 	}
 
-	// The hit must be visible in /stats.
-	resp, err := http.Get(base + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st Stats
-	err = json.NewDecoder(resp.Body).Decode(&st)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatalf("stats decode: %v", err)
-	}
-	if st.Cache.Hits < 1 {
-		t.Fatalf("stats cache hits = %d, want >= 1 after the repeated table1", st.Cache.Hits)
+	// The hit must be visible in /metrics.
+	if m := metricsText(t, base); !strings.Contains(m, "loas_cache_hits 1\n") {
+		t.Fatalf("metrics lack the table1 cache hit:\n%s", m)
 	}
 
 	// Monte-Carlo over HTTP.
@@ -118,7 +108,7 @@ func TestEndToEndDaemon(t *testing.T) {
 	}
 
 	// Case-4 generate-mode layout as SVG.
-	resp, err = http.Get(base + "/v1/layout.svg")
+	resp, err := http.Get(base + "/v1/layout.svg")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +142,7 @@ func TestEndToEndDaemon(t *testing.T) {
 		inFlight <- result{resp.StatusCode, nil}
 	}()
 	deadline := time.Now().Add(10 * time.Second)
-	for srv.Stats().BackendRuns < 4 { // table1, mc, layout already ran; wait for the 4th to start
+	for srv.backendRuns.Load() < 4 { // table1, mc, layout already ran; wait for the 4th to start
 		if time.Now().After(deadline) {
 			t.Fatal("in-flight synthesize never reached the backend")
 		}
@@ -192,15 +182,16 @@ func TestEndToEndLedgerDaemon(t *testing.T) {
 
 	frames, stopSSE := sseClient(t, ts.URL)
 
-	mustPost := func(base, p, body string) {
+	mustPost := func(base, p, body string) string {
 		t.Helper()
 		resp, data := post(t, base+p, body)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("POST %s: status %d: %s", p, resp.StatusCode, data)
 		}
+		return resp.Header.Get("X-Loas-Key")
 	}
-	mustPost(ts.URL, "/v1/synthesize", `{"case":4,"skip_verify":true}`) // cold
-	mustPost(ts.URL, "/v1/synthesize", `{"case":4,"skip_verify":true}`) // byte replay
+	coldKey := mustPost(ts.URL, "/v1/synthesize", `{"case":4,"skip_verify":true}`) // cold
+	mustPost(ts.URL, "/v1/synthesize", `{"case":4,"skip_verify":true}`)            // byte replay
 	mustPost(ts.URL, "/v1/mc", `{"n":2,"seed":7}`)
 
 	// The subscriber connected before any run: it must have seen every
@@ -310,10 +301,22 @@ func TestEndToEndLedgerDaemon(t *testing.T) {
 	if rep2.Total != 3 || rep2.Runs[0].ID != "run-000003" {
 		t.Fatalf("after restart runs = %+v", rep2)
 	}
+	// The cold result's convergence trace survives the restart: its
+	// content key finds the pre-restart run, iterations bit-identical.
+	var byKey RunsReport
+	getJSON(t, ts2.URL+"/v1/runs?key="+coldKey+"&outcome=ok&limit=1", &byKey)
+	if len(byKey.Runs) != 1 || byKey.Runs[0].ID != "run-000001" {
+		t.Fatalf("key lookup after restart = %+v", byKey.Runs)
+	}
 	var replayed obs.RunRecord
-	getJSON(t, ts2.URL+"/v1/runs/run-000001", &replayed)
+	getJSON(t, ts2.URL+"/v1/runs/"+byKey.Runs[0].ID, &replayed)
 	if len(replayed.Spans) != len(rec.Spans) || replayed.Outcome != "ok" {
 		t.Fatalf("replayed record lost detail: %d spans vs %d", len(replayed.Spans), len(rec.Spans))
+	}
+	before, _ := json.Marshal(rec.Iterations)
+	after, _ := json.Marshal(replayed.Iterations)
+	if len(rec.Iterations) < 2 || !bytes.Equal(before, after) {
+		t.Fatalf("iterations changed across the restart:\n%x\n%x", before, after)
 	}
 	mustPost(ts2.URL, "/v1/mc", `{"n":3,"seed":7}`)
 	getJSON(t, ts2.URL+"/v1/runs", &rep2)
@@ -362,9 +365,9 @@ func TestEndToEndBatchDedup(t *testing.T) {
 		t.Fatalf("report = %d items, %d unique, %d errors; want %d/%d/0",
 			rep.Items, rep.Unique, rep.Errors, n, k)
 	}
-	if st := srv.Stats(); st.BackendRuns != k {
+	if runs := srv.backendRuns.Load(); runs != k {
 		t.Fatalf("real backend ran %d times for %d unique specs, want exactly %d",
-			st.BackendRuns, k, k)
+			runs, k, k)
 	}
 	for i, r := range rep.Results {
 		if r.Index != i || len(r.Summary) == 0 {

@@ -175,7 +175,6 @@ func (b *eventBus) subscribers() int {
 // behind.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
-	evRequests.Add(1)
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		s.errorBody(w, http.StatusInternalServerError,

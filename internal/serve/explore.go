@@ -12,7 +12,6 @@ import (
 
 	"loas/internal/core"
 	"loas/internal/explore"
-	"loas/internal/layout"
 	"loas/internal/parallel"
 	"loas/internal/sizing"
 	"loas/internal/techno"
@@ -103,16 +102,10 @@ func (r *ExploreRequest) normalize() error {
 	if r.MaxLayoutCalls < 0 {
 		return fmt.Errorf("max_layout_calls must be >= 0, got %d", r.MaxLayoutCalls)
 	}
-	// Same canonicalization as SynthesizeRequest: resolved name, default
-	// elided, so the pre-registry wire format is unchanged.
-	lay, err := layout.CanonicalName(r.Layout)
-	if err != nil {
+	var err error
+	if r.Layout, err = CanonicalLayout(r.Layout); err != nil {
 		return err
 	}
-	if lay == layout.DefaultBackend {
-		lay = ""
-	}
-	r.Layout = lay
 	if r.Mode == "grid" {
 		// Budget and step are inert outside guided mode; zero them so
 		// both spellings share one cache entry (same canonicalization
@@ -206,7 +199,6 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 
 	start := time.Now()
 	s.requests.Add(1)
-	evRequests.Add(1)
 	s.exploreRequests.Inc()
 	info := runInfo{kind: "explore", layout: req.Layout, key: req.cacheKey(s.tech, bases),
 		request: recordRequest(&req)}
@@ -219,12 +211,10 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	v, ok := s.cache.Get(info.key)
 	lookup.End()
 	if ok {
-		evCacheHits.Add(1)
 		s.finishRun(ar, outcomeCacheHit, nil, v.Body)
 		s.write(w, v, info.key, "hit", start)
 		return
 	}
-	evCacheMisses.Add(1)
 
 	// The leader closure runs on THIS goroutine (Flight.Do calls it
 	// inline) — never inside the pool, which only sees the individual
@@ -240,9 +230,6 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		s.cache.Put(info.key, out)
 		return out, nil
 	})
-	if shared {
-		evDedupJoined.Add(1)
-	}
 	if err != nil {
 		s.finishRun(ar, outcomeError, err, nil)
 		s.fail(w, err)
@@ -337,11 +324,7 @@ func (p *poolProber) Probe(_ context.Context, topology string, spec sizing.OTASp
 	child := s.beginRun(info, time.Now())
 	v, outcome, err := s.executeKeyed(child, "application/json",
 		func(ctx context.Context) ([]byte, error) {
-			body, iters, err := s.backend.Synthesize(ctx, spec, &req)
-			if err == nil {
-				s.traces.put(key, iters)
-			}
-			return body, err
+			return s.backend.Synthesize(ctx, spec, &req)
 		})
 	idx := int(p.done.Add(1)) - 1
 	ev := batchItemEvent{Parent: p.parent.id, Index: idx, Topology: topology, Case: req.Case}

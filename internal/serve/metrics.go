@@ -29,8 +29,8 @@ var frontSizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128}
 
 // initMetrics builds the per-server registry. Counters the server
 // already tracks atomically (requests, cache hits, queue depth) are
-// exposed as gauges sampled at scrape time — one source of truth, two
-// views (/stats JSON and /metrics Prometheus text).
+// exposed as gauges sampled at scrape time, so /metrics reads the one
+// source of truth.
 func (s *Server) initMetrics() {
 	r := obs.NewRegistry()
 	s.reg = r
@@ -79,7 +79,19 @@ func (s *Server) initMetrics() {
 		func() float64 { return float64(s.cache.Stats().Bytes) })
 	r.GaugeFunc("loas_cache_entries", "entries held by the result cache",
 		func() float64 { return float64(s.cache.Stats().Entries) })
+	r.GaugeFunc("loas_cache_max_bytes", "byte bound of the result cache (<= 0: caching disabled)",
+		func() float64 { return float64(s.cache.Stats().MaxBytes) })
+	r.GaugeFunc("loas_cache_evictions", "entries dropped by the cache's LRU byte bound",
+		func() float64 { return float64(s.cache.Stats().Evictions) })
+	r.GaugeFunc("loas_cache_expirations", "entries dropped by the cache's TTL",
+		func() float64 { return float64(s.cache.Stats().Expirations) })
 
+	r.GaugeFunc("loas_queue_workers", "synthesis workers",
+		func() float64 { return float64(s.pool.Stats().Workers) })
+	r.GaugeFunc("loas_queue_capacity", "queue slots beyond the workers",
+		func() float64 { return float64(s.pool.Stats().Capacity) })
+	r.GaugeFunc("loas_queue_executed", "jobs the pool finished, including those whose deadline passed while queued",
+		func() float64 { return float64(s.pool.Stats().Executed) })
 	r.GaugeFunc("loas_queue_depth", "synthesis jobs accepted and not yet finished",
 		func() float64 { return float64(s.pool.Stats().Depth) })
 	r.GaugeFunc("loas_queue_depth_max", "high-water mark of the job queue depth",
@@ -95,11 +107,6 @@ func (s *Server) initMetrics() {
 			}
 			return 0
 		})
-
-	r.GaugeFunc("loas_traces_stored", "convergence traces retained for /v1/trace",
-		func() float64 { return float64(s.traces.len()) })
-	r.GaugeFunc("loas_trace_evictions", "convergence traces dropped by the store's FIFO bound",
-		func() float64 { return float64(s.traces.evictions.Load()) })
 
 	r.GaugeFunc("loas_runs_stored", "run records retained for /v1/runs",
 		func() float64 { return float64(s.runs.len()) })

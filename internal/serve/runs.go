@@ -6,8 +6,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -148,8 +150,8 @@ func (s *Server) finishRun(ar *activeRun, outcome string, err error, body []byte
 	})
 }
 
-// runStore retains recent run records in memory, bounded FIFO like the
-// trace store. Records are immutable once added.
+// runStore retains recent run records in memory, bounded FIFO. Records
+// are immutable once added.
 type runStore struct {
 	mu    sync.Mutex
 	max   int
@@ -193,10 +195,11 @@ func (rs *runStore) len() int {
 // runFilter is the /v1/runs query surface.
 type runFilter struct {
 	topology  string
-	layout    string
+	layout    *string // record spelling: "" is the default backend
 	kind      string
 	outcome   string
 	parent    string
+	key       string
 	converged *bool
 	minDur    time.Duration
 	limit     int
@@ -217,7 +220,7 @@ func (rs *runStore) list(f runFilter) []*obs.RunRecord {
 		if f.topology != "" && r.Topology != f.topology {
 			continue
 		}
-		if f.layout != "" && r.Layout != f.layout {
+		if f.layout != nil && r.Layout != *f.layout {
 			continue
 		}
 		if f.kind != "" && r.Kind != f.kind {
@@ -227,6 +230,9 @@ func (rs *runStore) list(f runFilter) []*obs.RunRecord {
 			continue
 		}
 		if f.parent != "" && r.Parent != f.parent {
+			continue
+		}
+		if f.key != "" && r.CacheKey != f.key {
 			continue
 		}
 		if f.converged != nil && r.Converged != *f.converged {
@@ -279,23 +285,43 @@ type RunsReport struct {
 	Runs  []RunSummary `json:"runs"`  // newest first, after filters
 }
 
+// runQueryParams are the query parameters GET /v1/runs understands.
+var runQueryParams = []string{"topology", "layout", "kind", "outcome", "parent",
+	"key", "converged", "min_duration", "limit"}
+
 // handleRuns lists recent runs. Query parameters: topology, layout
-// (non-default layout backend name), kind
-// (synthesize|table1|mc|layout.svg|batch|explore), outcome, parent
-// (batch/explore run ID whose children to list), converged
-// (true|false), min_duration (Go duration, e.g. 150ms), limit
-// (default 50).
+// (layout backend name; the default matches runs that recorded none),
+// kind (synthesize|table1|mc|layout.svg|batch|explore), outcome, parent
+// (batch/explore run ID whose children to list), key (the
+// content-addressed key a result response returns in X-Loas-Key),
+// converged (true|false), min_duration (Go duration, e.g. 150ms), limit
+// (default 50). Any other parameter is a 400, so a typo cannot silently
+// widen the listing.
 func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
-	evRequests.Add(1)
 	q := r.URL.Query()
+	for name := range q {
+		if !slices.Contains(runQueryParams, name) {
+			s.errorBody(w, http.StatusBadRequest, fmt.Errorf("unknown query parameter %q (want one of %s)",
+				name, strings.Join(runQueryParams, ", ")))
+			return
+		}
+	}
 	f := runFilter{
 		topology: q.Get("topology"),
-		layout:   q.Get("layout"),
 		kind:     q.Get("kind"),
 		outcome:  q.Get("outcome"),
 		parent:   q.Get("parent"),
+		key:      q.Get("key"),
 		limit:    50,
+	}
+	if v := q.Get("layout"); v != "" {
+		lay, err := CanonicalLayout(v)
+		if err != nil {
+			s.errorBody(w, http.StatusBadRequest, err)
+			return
+		}
+		f.layout = &lay
 	}
 	if v := q.Get("converged"); v != "" {
 		b, err := strconv.ParseBool(v)
@@ -333,13 +359,11 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(body)
-	s.served.Add(1)
 }
 
 // handleRunByID serves one full run record: span tree + iterations.
 func (s *Server) handleRunByID(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
-	evRequests.Add(1)
 	id := r.PathValue("id")
 	rec, ok := s.runs.get(id)
 	if !ok {
@@ -353,5 +377,4 @@ func (s *Server) handleRunByID(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(body)
-	s.served.Add(1)
 }

@@ -4,8 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -20,7 +20,7 @@ type tracingStub struct {
 	stubBackend
 }
 
-func (b *tracingStub) Synthesize(ctx context.Context, spec sizing.OTASpec, req *SynthesizeRequest) ([]byte, []obs.Iteration, error) {
+func (b *tracingStub) Synthesize(ctx context.Context, spec sizing.OTASpec, req *SynthesizeRequest) ([]byte, error) {
 	tr := obs.TraceFromContext(ctx)
 	for _, it := range stubIterations {
 		tr.Record(it)
@@ -179,15 +179,63 @@ func TestRunsFilters(t *testing.T) {
 	if rep := fetch("?topology=folded-cascode"); len(rep.Runs) != 3 {
 		t.Fatalf("topology filter: %+v", rep.Runs)
 	}
-	for _, q := range []string{"?converged=maybe", "?min_duration=fast", "?limit=0", "?limit=x"} {
+	// Default-backend runs record no layout; the filter canonicalizes.
+	if rep := fetch("?layout=slicing"); len(rep.Runs) != 3 {
+		t.Fatalf("layout=slicing filter: %+v", rep.Runs)
+	}
+	if rep := fetch("?layout=rows"); len(rep.Runs) != 0 {
+		t.Fatalf("layout=rows filter: %+v", rep.Runs)
+	}
+	for _, q := range []string{"?converged=maybe", "?min_duration=fast", "?limit=0", "?limit=x",
+		"?topolgy=folded-cascode", "?key=abc&bogus=1", "?layout=bogus"} {
 		if resp := getJSON(t, ts.URL+"/v1/runs"+q, nil); resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("%s: status %d, want 400", q, resp.StatusCode)
 		}
 	}
 }
 
+// TestRunsKeyFilter: key= finds every run under a content-addressed key
+// (the X-Loas-Key header): the cold run carries the convergence trace,
+// the later cache hit shares the key and carries none.
+func TestRunsKeyFilter(t *testing.T) {
+	stub := &tracingStub{}
+	_, ts := newStubServer(t, Config{}, stub)
+	resp, _ := post(t, ts.URL+"/v1/synthesize", `{"case":2}`) // cold → ok
+	key := resp.Header.Get("X-Loas-Key")
+	if key == "" {
+		t.Fatal("response missing X-Loas-Key")
+	}
+	if resp, _ := post(t, ts.URL+"/v1/synthesize", `{"case":2}`); resp.Header.Get("X-Loas-Key") != key {
+		t.Fatal("key must be stable across miss and hit")
+	}
+	post(t, ts.URL+"/v1/synthesize", `{"case":3}`) // another key
+
+	var rep RunsReport
+	getJSON(t, ts.URL+"/v1/runs?key="+key, &rep)
+	if len(rep.Runs) != 2 || rep.Runs[0].Outcome != "cache-hit" || rep.Runs[1].Outcome != "ok" {
+		t.Fatalf("key filter = %+v, want cache-hit then ok", rep.Runs)
+	}
+	if rep.Runs[0].Iterations != 0 {
+		t.Fatalf("cache-hit run carries %d iterations, want 0", rep.Runs[0].Iterations)
+	}
+
+	getJSON(t, ts.URL+"/v1/runs?key="+key+"&outcome=ok&limit=1", &rep)
+	if len(rep.Runs) != 1 {
+		t.Fatalf("cold lookup = %+v, want one run", rep.Runs)
+	}
+	var rec obs.RunRecord
+	getJSON(t, ts.URL+"/v1/runs/"+rep.Runs[0].ID, &rec)
+	if rec.CacheKey != key || !rec.Converged || !reflect.DeepEqual(rec.Iterations, stubIterations) {
+		t.Fatalf("cold run = key %q converged %v iterations %+v", rec.CacheKey, rec.Converged, rec.Iterations)
+	}
+
+	if resp := getJSON(t, ts.URL+"/v1/runs?key=deadbeef", &rep); resp.StatusCode != http.StatusOK || len(rep.Runs) != 0 {
+		t.Fatalf("unknown key: status %d, runs %+v", resp.StatusCode, rep.Runs)
+	}
+}
+
 // TestRunStoreBounded: the in-memory store evicts oldest-first at its
-// bound, like the trace store.
+// bound.
 func TestRunStoreBounded(t *testing.T) {
 	rs := newRunStore(2)
 	for i := 1; i <= 3; i++ {
@@ -213,21 +261,11 @@ func TestQueueWaitHistogram(t *testing.T) {
 	post(t, ts.URL+"/v1/synthesize", `{}`)
 	post(t, ts.URL+"/v1/synthesize", `{}`) // hit: no queue admission
 
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := string(body)
+	out := metricsText(t, ts.URL)
 	for _, want := range []string{
 		"# TYPE loas_queue_wait_seconds histogram",
 		"loas_queue_wait_seconds_count 1",
 		"loas_runs_stored 2",
-		"loas_trace_evictions 0",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, out)

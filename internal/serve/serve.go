@@ -16,26 +16,26 @@
 //	GET  /v1/topologies   registered design plans     → TopologiesReport JSON
 //	GET  /v1/layouts      registered layout backends  → LayoutsReport JSON
 //	GET  /v1/layout.svg   case-4 generate-mode layout → SVG
-//	GET  /v1/trace/{key}  convergence trace of a synthesis → TraceReport JSON
 //	GET  /v1/runs         recent run history (filterable)  → RunsReport JSON
 //	GET  /v1/runs/{id}    one run: span tree + iterations  → obs.RunRecord JSON
 //	GET  /v1/events       live run lifecycle stream        → Server-Sent Events
 //	GET  /healthz         liveness
-//	GET  /stats           cache + queue + latency counters (also expvar)
 //	GET  /metrics         Prometheus text exposition (latency histogram,
 //	                      cache/queue gauges, domain counters)
 //	GET  /debug/pprof/*   net/http/pprof, only with Config.EnablePprof
 //
 // Cached responses are replayed verbatim, so a hit is byte-identical to
 // the response that populated it; the X-Loas-Cache header reports
-// hit | miss | dedup.
+// hit | miss | dedup, and X-Loas-Key carries the content-addressed key.
+// /metrics and /v1/runs are the whole introspection surface: the
+// convergence trace of a result is the iterations of the cold run that
+// produced it, /v1/runs?key=K&outcome=ok&limit=1 then /v1/runs/{id}.
 package serve
 
 import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"io"
 	"net/http"
@@ -50,18 +50,6 @@ import (
 	"loas/internal/techno"
 )
 
-// expvar mirrors of the per-server counters, aggregated across every
-// Server in the process (expvar registration is global and permanent,
-// so these live at package level).
-var (
-	evRequests    = expvar.NewInt("loasd.requests")
-	evErrors      = expvar.NewInt("loasd.errors")
-	evCacheHits   = expvar.NewInt("loasd.cache_hits")
-	evCacheMisses = expvar.NewInt("loasd.cache_misses")
-	evDedupJoined = expvar.NewInt("loasd.dedup_joined")
-	evBackendRuns = expvar.NewInt("loasd.backend_runs")
-)
-
 // Config sizes the server. Zero values mean defaults; CacheBytes < 0
 // disables the cache, TTL <= 0 disables expiry.
 type Config struct {
@@ -73,8 +61,6 @@ type Config struct {
 	QueueDepth int             // queued jobs beyond the workers; default 64, < 0 = none
 	Timeout    time.Duration   // per-job wall-clock bound, default 5 min
 	Backend    Backend         // default StdBackend over Tech
-	// MaxTraces bounds the convergence-trace store (default 256).
-	MaxTraces int
 	// BatchMaxItems bounds one POST /v1/batch request (default 4096).
 	BatchMaxItems int
 	// MaxRuns bounds the in-memory run store behind /v1/runs (default 1024).
@@ -102,7 +88,6 @@ type Server struct {
 	flight *Flight
 	pool   *parallel.Pool
 	mux    *http.ServeMux
-	traces *traceStore
 	runs   *runStore
 	events *eventBus
 	ledger *obs.Ledger
@@ -122,8 +107,6 @@ type Server struct {
 	requests    atomic.Int64
 	errs        atomic.Int64
 	backendRuns atomic.Int64
-	latencyNS   atomic.Int64
-	served      atomic.Int64
 	runSeq      atomic.Int64
 	ledgerErrs  atomic.Int64
 }
@@ -163,7 +146,6 @@ func New(cfg Config) *Server {
 		flight:   NewFlight(),
 		pool:     parallel.NewPool(cfg.Workers, cfg.QueueDepth),
 		mux:      http.NewServeMux(),
-		traces:   newTraceStore(cfg.MaxTraces),
 		runs:     newRunStore(cfg.MaxRuns),
 		events:   newEventBus(),
 		ledger:   cfg.Ledger,
@@ -184,12 +166,10 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /v1/topologies", s.handleTopologies)
 	s.mux.HandleFunc("GET /v1/layouts", s.handleLayouts)
 	s.mux.HandleFunc("GET /v1/layout.svg", s.handleLayoutSVG)
-	s.mux.HandleFunc("GET /v1/trace/{key}", s.handleTraceKey)
 	s.mux.HandleFunc("GET /v1/runs", s.handleRuns)
 	s.mux.HandleFunc("GET /v1/runs/{id}", s.handleRunByID)
 	s.mux.HandleFunc("GET /v1/events", s.handleEvents)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /stats", s.handleStats)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	if cfg.EnablePprof {
 		mountPprof(s.mux)
@@ -204,35 +184,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // complete, new work is rejected. Call after http.Server.Shutdown so
 // in-flight HTTP requests get their results first.
 func (s *Server) Close() { s.pool.Close() }
-
-// Stats is the /stats payload.
-type Stats struct {
-	Requests     int64              `json:"requests"`
-	Served       int64              `json:"served"`
-	Errors       int64              `json:"errors"`
-	AvgLatencyMS float64            `json:"avg_latency_ms"`
-	BackendRuns  int64              `json:"backend_runs"`
-	DedupJoined  int64              `json:"dedup_joined"`
-	Cache        CacheStats         `json:"cache"`
-	Queue        parallel.PoolStats `json:"queue"`
-}
-
-// Stats snapshots the server counters.
-func (s *Server) Stats() Stats {
-	st := Stats{
-		Requests:    s.requests.Load(),
-		Served:      s.served.Load(),
-		Errors:      s.errs.Load(),
-		BackendRuns: s.backendRuns.Load(),
-		DedupJoined: s.flight.Joined(),
-		Cache:       s.cache.Stats(),
-		Queue:       s.pool.Stats(),
-	}
-	if st.Served > 0 {
-		st.AvgLatencyMS = float64(s.latencyNS.Load()) / float64(st.Served) / 1e6
-	}
-	return st
-}
 
 // HealthReport is the GET /healthz payload: liveness plus the build
 // stamp, so one probe identifies what is running where.
@@ -250,16 +201,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 	})
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(body)
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	body, err := marshalJSON(s.Stats())
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -294,39 +235,8 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 		request: recordRequest(recReq)}
 	s.respond(w, info, "application/json",
 		func(ctx context.Context) ([]byte, error) {
-			body, iters, err := s.backend.Synthesize(ctx, spec, &req)
-			if err == nil {
-				s.traces.put(key, iters)
-			}
-			return body, err
+			return s.backend.Synthesize(ctx, spec, &req)
 		})
-}
-
-// handleTraceKey serves the convergence trace recorded when the
-// synthesis under {key} ran. 404 until that synthesis has executed (a
-// cache hit replays bytes without re-recording, so the trace persists
-// beside the cached result until evicted).
-func (s *Server) handleTraceKey(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	evRequests.Add(1)
-	key := r.PathValue("key")
-	iters, ok := s.traces.get(key)
-	if !ok {
-		s.errorBody(w, http.StatusNotFound, fmt.Errorf("no trace recorded for key %q", key))
-		return
-	}
-	body, err := marshalJSON(TraceReport{
-		Key:        key,
-		Converged:  obs.Converged(iters, 1e-15),
-		Iterations: iters,
-	})
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(body)
-	s.served.Add(1)
 }
 
 func (s *Server) handleTable1(w http.ResponseWriter, r *http.Request) {
@@ -383,7 +293,6 @@ type TopologiesReport struct {
 
 func (s *Server) handleTopologies(w http.ResponseWriter, _ *http.Request) {
 	s.requests.Add(1)
-	evRequests.Add(1)
 	body, err := marshalJSON(TopologiesReport{
 		Default:    sizing.DefaultTopology,
 		Topologies: sizing.Topologies(),
@@ -394,7 +303,6 @@ func (s *Server) handleTopologies(w http.ResponseWriter, _ *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(body)
-	s.served.Add(1)
 }
 
 // LayoutsReport is the GET /v1/layouts payload: every registered layout
@@ -406,7 +314,6 @@ type LayoutsReport struct {
 
 func (s *Server) handleLayouts(w http.ResponseWriter, _ *http.Request) {
 	s.requests.Add(1)
-	evRequests.Add(1)
 	body, err := marshalJSON(LayoutsReport{
 		Default: layout.DefaultBackend,
 		Layouts: layout.Backends(),
@@ -417,7 +324,6 @@ func (s *Server) handleLayouts(w http.ResponseWriter, _ *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(body)
-	s.served.Add(1)
 }
 
 func (s *Server) handleLayoutSVG(w http.ResponseWriter, _ *http.Request) {
@@ -444,7 +350,6 @@ func (s *Server) respond(w http.ResponseWriter, info runInfo, contentType string
 	compute func(context.Context) ([]byte, error)) {
 	start := time.Now()
 	s.requests.Add(1)
-	evRequests.Add(1)
 	ar := s.beginRun(info, start)
 
 	v, outcome, err := s.executeKeyed(ar, contentType, compute)
@@ -481,10 +386,8 @@ func (s *Server) executeKeyed(ar *activeRun, contentType string,
 	v, ok := s.cache.Get(info.key)
 	lookup.End()
 	if ok {
-		evCacheHits.Add(1)
 		return v, outcomeCacheHit, nil
 	}
-	evCacheMisses.Add(1)
 
 	// Opened before Submit, ended at job start: the span (and the
 	// loas_queue_wait_seconds histogram) measure the real time this
@@ -514,7 +417,6 @@ func (s *Server) executeKeyed(ar *activeRun, contentType string,
 			queueWait.End()
 			s.queueWait.Observe(queueWait.Duration().Seconds())
 			s.backendRuns.Add(1)
-			evBackendRuns.Add(1)
 			work := ar.root.Child(info.kind)
 			defer work.End()
 			ctx = obs.ContextWithSpan(ctx, work)
@@ -537,9 +439,6 @@ func (s *Server) executeKeyed(ar *activeRun, contentType string,
 	// someone else's execution, not this request's queue admission, so
 	// only the in-job End above feeds the histogram.
 	queueWait.End()
-	if shared {
-		evDedupJoined.Add(1)
-	}
 	if err != nil {
 		return Value{}, outcomeError, err
 	}
@@ -553,19 +452,15 @@ func (s *Server) executeKeyed(ar *activeRun, contentType string,
 func (s *Server) write(w http.ResponseWriter, v Value, key, src string, start time.Time) {
 	w.Header().Set("Content-Type", v.ContentType)
 	w.Header().Set("X-Loas-Cache", src)
-	// The content-addressed key lets the client fetch the convergence
-	// trace of the synthesis that produced this body (GET /v1/trace/{key}).
+	// The content-addressed key finds the run that produced this body
+	// (GET /v1/runs?key=...&outcome=ok).
 	w.Header().Set("X-Loas-Key", key)
 	w.Write(v.Body)
-	elapsed := time.Since(start)
-	s.latencyNS.Add(elapsed.Nanoseconds())
-	s.latency.Observe(elapsed.Seconds())
-	s.served.Add(1)
+	s.latency.Observe(time.Since(start).Seconds())
 }
 
 func (s *Server) badRequest(w http.ResponseWriter, err error) {
 	s.requests.Add(1)
-	evRequests.Add(1)
 	s.errorBody(w, http.StatusBadRequest, err)
 }
 
@@ -585,7 +480,6 @@ func (s *Server) fail(w http.ResponseWriter, err error) {
 
 func (s *Server) errorBody(w http.ResponseWriter, code int, err error) {
 	s.errs.Add(1)
-	evErrors.Add(1)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})

@@ -42,17 +42,16 @@ func (b *stubBackend) do(kind string) ([]byte, error) {
 	return []byte(fmt.Sprintf("{\"kind\":%q,\"call\":%d}\n", kind, n)), nil
 }
 
-// stubIterations is the canned convergence trace every stub synthesis
-// reports — three layout calls shrinking to a fixpoint, like the paper.
+// stubIterations is the canned convergence trace tracingStub records —
+// three layout calls shrinking to a fixpoint, like the paper.
 var stubIterations = []obs.Iteration{
 	{Call: 1, DeltaF: -1, OutCapF: 100e-15},
 	{Call: 2, DeltaF: 10e-15, OutCapF: 110e-15},
 	{Call: 3, DeltaF: 0.5e-15, OutCapF: 110.5e-15},
 }
 
-func (b *stubBackend) Synthesize(_ context.Context, _ sizing.OTASpec, req *SynthesizeRequest) ([]byte, []obs.Iteration, error) {
-	body, err := b.do(fmt.Sprintf("synthesize-%d", req.Case))
-	return body, stubIterations, err
+func (b *stubBackend) Synthesize(_ context.Context, _ sizing.OTASpec, req *SynthesizeRequest) ([]byte, error) {
+	return b.do(fmt.Sprintf("synthesize-%d", req.Case))
 }
 func (b *stubBackend) Table1(context.Context, sizing.OTASpec) ([]byte, error) {
 	return b.do("table1")
@@ -128,12 +127,11 @@ func TestDedupConcurrentIdenticalRequests(t *testing.T) {
 			t.Fatalf("response %d differs: %s vs %s", i, bodies[i], bodies[0])
 		}
 	}
-	st := s.Stats()
-	if st.BackendRuns != 1 {
-		t.Fatalf("stats backend runs = %d, want 1", st.BackendRuns)
+	if runs := s.backendRuns.Load(); runs != 1 {
+		t.Fatalf("backend runs = %d, want 1", runs)
 	}
-	if st.DedupJoined != n-1 || st.Cache.Hits != 0 {
-		t.Fatalf("dedup %d (want %d), hits %d (want 0)", st.DedupJoined, n-1, st.Cache.Hits)
+	if joined, hits := s.flight.Joined(), s.cache.Stats().Hits; joined != n-1 || hits != 0 {
+		t.Fatalf("dedup %d (want %d), hits %d (want 0)", joined, n-1, hits)
 	}
 }
 
@@ -157,8 +155,8 @@ func TestCacheHitReplaysBytes(t *testing.T) {
 	if stub.calls.Load() != 2 {
 		t.Fatalf("distinct request should miss, calls = %d", stub.calls.Load())
 	}
-	if st := s.Stats(); st.Cache.Hits != 1 || st.Cache.Misses != 2 {
-		t.Fatalf("cache stats = %+v", st.Cache)
+	if st := s.cache.Stats(); st.Hits != 1 || st.Misses != 2 {
+		t.Fatalf("cache stats = %+v", st)
 	}
 }
 
@@ -219,14 +217,28 @@ func TestBadRequests(t *testing.T) {
 			t.Errorf("%s %s: status %d (%s), want 400", tc.path, tc.body, resp.StatusCode, data)
 		}
 	}
+	// The retired introspection routes are gone: counters are on
+	// /metrics, convergence traces on /v1/runs.
+	for _, path := range []string{"stats", "v1/trace/x"} {
+		resp, err := http.Get(ts.URL + "/" + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET /%s: status %d, want 404", path, resp.StatusCode)
+		}
+	}
 	if stub.calls.Load() != 0 {
 		t.Fatalf("bad requests reached the backend %d times", stub.calls.Load())
 	}
 }
 
+// TestStatsAndHealthz: the server counters are read from /metrics, the
+// one counter surface (the JSON /stats view is gone).
 func TestStatsAndHealthz(t *testing.T) {
 	stub := &stubBackend{}
-	_, ts := newStubServer(t, Config{}, stub)
+	_, ts := newStubServer(t, Config{Workers: 2}, stub)
 	post(t, ts.URL+"/v1/synthesize", `{}`)
 	post(t, ts.URL+"/v1/synthesize", `{}`)
 
@@ -236,110 +248,33 @@ func TestStatsAndHealthz(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	resp, err = http.Get(ts.URL + "/stats")
+	out := metricsText(t, ts.URL)
+	for _, want := range []string{
+		"loas_requests 2",
+		"loas_backend_runs 1",
+		"loas_cache_hits 1",
+		"loas_queue_workers 2",
+		"loas_queue_executed 1",
+	} {
+		if !strings.Contains(out, want+"\n") {
+			t.Fatalf("metrics missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// metricsText scrapes /metrics.
+func metricsText(t *testing.T, base string) string {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st Stats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatalf("stats decode: %v", err)
-	}
-	if st.Requests != 2 || st.BackendRuns != 1 || st.Cache.Hits != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if st.Queue.Workers <= 0 {
-		t.Fatalf("queue stats missing: %+v", st.Queue)
-	}
-}
-
-// TestTraceEndpoint: a synthesis stores its convergence trace under its
-// content-addressed key (echoed in X-Loas-Key), and /v1/trace/{key}
-// replays it — including after the result itself becomes a cache hit.
-func TestTraceEndpoint(t *testing.T) {
-	stub := &stubBackend{}
-	_, ts := newStubServer(t, Config{}, stub)
-
-	resp, _ := post(t, ts.URL+"/v1/synthesize", `{"case":2}`)
-	key := resp.Header.Get("X-Loas-Key")
-	if key == "" {
-		t.Fatal("response missing X-Loas-Key")
-	}
-
-	fetch := func() TraceReport {
-		t.Helper()
-		r, err := http.Get(ts.URL + "/v1/trace/" + key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer r.Body.Close()
-		if r.StatusCode != http.StatusOK {
-			t.Fatalf("trace status %d", r.StatusCode)
-		}
-		var rep TraceReport
-		if err := json.NewDecoder(r.Body).Decode(&rep); err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	rep := fetch()
-	if rep.Key != key || len(rep.Iterations) != len(stubIterations) {
-		t.Fatalf("trace report = %+v", rep)
-	}
-	if !rep.Converged {
-		t.Fatal("stub trace ends below tolerance, should report converged")
-	}
-	if rep.Iterations[2].DeltaF != stubIterations[2].DeltaF {
-		t.Fatalf("iteration replay corrupted: %+v", rep.Iterations[2])
-	}
-
-	// A cache hit replays bytes without re-running the backend; the
-	// trace must still be there.
-	resp2, _ := post(t, ts.URL+"/v1/synthesize", `{"case":2}`)
-	if resp2.Header.Get("X-Loas-Cache") != "hit" {
-		t.Fatal("second request should hit")
-	}
-	if resp2.Header.Get("X-Loas-Key") != key {
-		t.Fatal("key must be stable across hit and miss")
-	}
-	fetch()
-	if stub.calls.Load() != 1 {
-		t.Fatalf("backend calls = %d, want 1", stub.calls.Load())
-	}
-
-	// Unknown keys are 404.
-	r, err := http.Get(ts.URL + "/v1/trace/deadbeef")
+	body, err := io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Body.Close()
-	if r.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown key status %d, want 404", r.StatusCode)
-	}
-}
-
-func TestTraceStoreBoundedFIFO(t *testing.T) {
-	ts := newTraceStore(2)
-	it := []obs.Iteration{{Call: 1}}
-	ts.put("a", it)
-	ts.put("b", it)
-	ts.put("a", it) // refresh must not double-count a
-	ts.put("c", it) // evicts a (oldest)
-	if _, ok := ts.get("a"); ok {
-		t.Fatal("a should have been evicted")
-	}
-	for _, k := range []string{"b", "c"} {
-		if _, ok := ts.get(k); !ok {
-			t.Fatalf("%s missing", k)
-		}
-	}
-	if ts.len() != 2 {
-		t.Fatalf("len = %d, want 2", ts.len())
-	}
-	ts.put("d", nil) // empty traces are not stored
-	if _, ok := ts.get("d"); ok {
-		t.Fatal("empty trace should be ignored")
-	}
+	return string(body)
 }
 
 // TestMetricsEndpoint: /metrics exposes the latency histogram, the
@@ -373,7 +308,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"loas_backend_runs 1",
 		"# TYPE loas_queue_depth gauge",
 		"loas_queue_depth 0",
-		"loas_traces_stored 1",
 		// Domain counters from obs.Default (values vary across the test
 		// binary's lifetime; presence is the contract here).
 		"loas_sizing_passes_total",
@@ -435,9 +369,8 @@ func TestShutdownWithRequestsInFlight(t *testing.T) {
 	s.Close() // drains accepted jobs, rejects the rest
 	wg.Wait()
 
-	st := s.Stats()
-	if st.Queue.Depth != 0 {
-		t.Fatalf("queue not drained: %+v", st.Queue)
+	if st := s.pool.Stats(); st.Depth != 0 {
+		t.Fatalf("queue not drained: %+v", st)
 	}
 }
 
@@ -578,7 +511,7 @@ type specRecordingBackend struct {
 	seen *atomic.Value
 }
 
-func (b *specRecordingBackend) Synthesize(ctx context.Context, spec sizing.OTASpec, req *SynthesizeRequest) ([]byte, []obs.Iteration, error) {
+func (b *specRecordingBackend) Synthesize(ctx context.Context, spec sizing.OTASpec, req *SynthesizeRequest) ([]byte, error) {
 	b.seen.Store(spec)
 	return b.stubBackend.Synthesize(ctx, spec, req)
 }
