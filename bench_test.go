@@ -5,29 +5,24 @@
 //
 //	Fig. 2  → BenchmarkFig2CapReduction
 //	Fig. 3  → BenchmarkFig3CurrentMirror
-//	Table 1 → BenchmarkTable1Case1…4 (gbw_MHz, pm_deg, gain_dB, power_mW
-//	          metrics carry synthesized values; x* the extracted ones)
+//	Table 1 → BenchmarkTable1AllCases (case4_xgbw_MHz)
 //	Fig. 5  → BenchmarkFig5Layout (area_um2)
 //	Fig. 1  → BenchmarkFlowProposed / BenchmarkFlowTraditional
 //	§6      → BenchmarkSCIntegrator
 //
-// Serial/parallel pairs (identical results, sec/op ratio = speedup):
-// BenchmarkTable1AllCasesSerial vs BenchmarkTable1AllCases and
-// BenchmarkMonteCarloOffset vs BenchmarkMonteCarloOffsetParallel.
-//
-// The serving layer (DESIGN.md row 22) gets its own cold/hot pair:
-// BenchmarkServeSynthesizeCold vs BenchmarkServeSynthesizeHot — the
-// sec/op ratio is the value of the content-addressed result cache on a
-// repeat request.
+// End-to-end timing is not measured here: the perfbench module (declared
+// in BENCHMARK.json) times Table 1 case by case (workload table1), the
+// Monte-Carlo offset with its serial/parallel speedup (mc-offset) and the
+// daemon's cache and dedup paths (service), with multi-sample medians.
+// What stays here is what perfbench does not cover: the SynthesizeAll
+// serial/parallel pair (BenchmarkTable1AllCasesSerial vs
+// BenchmarkTable1AllCases, identical results, sec/op ratio = speedup),
+// the per-topology syntheses, and the per-cache cold/warm ablations.
 package loas
 
 import (
 	"fmt"
 	"math/cmplx"
-	"net/http"
-	"net/http/httptest"
-	"strconv"
-	"strings"
 	"testing"
 
 	"loas/internal/circuit"
@@ -39,7 +34,6 @@ import (
 	"loas/internal/mc"
 	"loas/internal/repro"
 	"loas/internal/scfilter"
-	"loas/internal/serve"
 	"loas/internal/sizing"
 	"loas/internal/techno"
 )
@@ -67,31 +61,6 @@ func BenchmarkFig3CurrentMirror(b *testing.B) {
 	b.ReportMetric(float64(r.Pattern.InsertedDummies), "dummies")
 	b.ReportMetric(float64(r.Stack.Width)*1e-3, "width_um")
 }
-
-func benchTable1Case(b *testing.B, c int) {
-	tech := techno.Default060()
-	spec := sizing.Default65MHz()
-	var res *core.Result
-	var err error
-	for i := 0; i < b.N; i++ {
-		res, err = core.Synthesize(tech, spec, core.Options{Case: c})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(res.Synthesized.GBW/1e6, "gbw_MHz")
-	b.ReportMetric(res.Extracted.GBW/1e6, "xgbw_MHz")
-	b.ReportMetric(res.Synthesized.PhaseDeg, "pm_deg")
-	b.ReportMetric(res.Extracted.PhaseDeg, "xpm_deg")
-	b.ReportMetric(res.Extracted.DCGainDB, "xgain_dB")
-	b.ReportMetric(res.Extracted.Power*1e3, "xpower_mW")
-	b.ReportMetric(float64(res.LayoutCalls), "layout_calls")
-}
-
-func BenchmarkTable1Case1(b *testing.B) { benchTable1Case(b, 1) }
-func BenchmarkTable1Case2(b *testing.B) { benchTable1Case(b, 2) }
-func BenchmarkTable1Case3(b *testing.B) { benchTable1Case(b, 3) }
-func BenchmarkTable1Case4(b *testing.B) { benchTable1Case(b, 4) }
 
 // BenchmarkTable1AllCasesSerial / BenchmarkTable1AllCases are the
 // serial/parallel pair for the whole four-case experiment: same work,
@@ -313,42 +282,6 @@ func BenchmarkSynthesizeFoldedCascode(b *testing.B) { benchSynthesizeTopology(b,
 func BenchmarkSynthesizeTwoStage(b *testing.B)      { benchSynthesizeTopology(b, "two-stage") }
 func BenchmarkSynthesizeFiveT(b *testing.B)         { benchSynthesizeTopology(b, "five-t") }
 
-// benchMonteCarloOffset measures the statistical verification interface
-// (8 mismatch samples with full DC nulling each) at a given worker count.
-func benchMonteCarloOffset(b *testing.B, workers int) {
-	tech := techno.Default060()
-	spec := sizing.Default65MHz()
-	ps, _ := sizing.Case(1)
-	d, err := sizing.SizeFoldedCascode(tech, spec, ps)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := mc.OffsetConfig{
-		Build:   func() *circuit.Circuit { return d.Netlist("mcb") },
-		InP:     sizing.NetInP,
-		InN:     sizing.NetInN,
-		Out:     sizing.NetOut,
-		VicmDC:  0.645,
-		VoutMid: 1.41,
-		Temp:    tech.Temp,
-		NodeSet: d.NodeSet(),
-		Workers: workers,
-	}
-	var stats *mc.OffsetStats
-	for i := 0; i < b.N; i++ {
-		stats, err = mc.RunOffset(cfg, 8, 42)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(stats.SigmaV*1e3, "sigma_mV")
-}
-
-// Serial/parallel pair; identical sigma_mV by construction (the samples
-// draw from seed-split streams, see TestRunOffsetWorkerInvariance).
-func BenchmarkMonteCarloOffset(b *testing.B)         { benchMonteCarloOffset(b, 1) }
-func BenchmarkMonteCarloOffsetParallel(b *testing.B) { benchMonteCarloOffset(b, 0) }
-
 // BenchmarkCornerSweep times the five-corner verification, which also
 // runs on the worker pool.
 func BenchmarkCornerSweep(b *testing.B) {
@@ -370,159 +303,12 @@ func BenchmarkCornerSweep(b *testing.B) {
 	b.ReportMetric(corners[techno.CornerFF].GBW/1e6, "ff_gbw_MHz")
 }
 
-// benchServePost drives one request through the daemon's handler
-// in-process (no sockets, so the measurement is cache + engine, not
-// the TCP stack).
-func benchServePost(b *testing.B, h http.Handler, body string) {
-	b.Helper()
-	req := httptest.NewRequest("POST", "/v1/synthesize", strings.NewReader(body))
-	req.Header.Set("Content-Type", "application/json")
-	w := httptest.NewRecorder()
-	h.ServeHTTP(w, req)
-	if w.Code != http.StatusOK || w.Body.Len() == 0 {
-		b.Fatalf("status %d, %d bytes: %s", w.Code, w.Body.Len(), w.Body.String())
-	}
-}
-
-// benchBackendRuns reads the daemon's loas_backend_runs gauge from
-// /metrics.
-func benchBackendRuns(b *testing.B, h http.Handler) float64 {
-	b.Helper()
-	w := httptest.NewRecorder()
-	h.ServeHTTP(w, httptest.NewRequest("GET", "/metrics", nil))
-	for _, line := range strings.Split(w.Body.String(), "\n") {
-		if v, ok := strings.CutPrefix(line, "loas_backend_runs "); ok {
-			n, err := strconv.ParseFloat(v, 64)
-			if err != nil {
-				b.Fatal(err)
-			}
-			return n
-		}
-	}
-	b.Fatal("/metrics has no loas_backend_runs gauge")
-	return 0
-}
-
-// BenchmarkServeSynthesizeCold: every iteration carries a fresh content
-// address (the layout-call cap varies while staying far above what a
-// case-1 synthesis uses, so the work itself is identical), forcing a
-// full backend synthesis each time.
-func BenchmarkServeSynthesizeCold(b *testing.B) {
-	s := serve.New(serve.Config{})
-	defer s.Close()
-	h := s.Handler()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchServePost(b, h, fmt.Sprintf(
-			`{"case":1,"skip_verify":true,"max_layout_calls":%d}`, 50+i))
-	}
-	b.StopTimer()
-	b.ReportMetric(benchBackendRuns(b, h), "backend_runs")
-}
-
-// BenchmarkServeSynthesizeHot repeats one identical request; after the
-// warm-up every iteration is a byte-replay from the result cache.
-func BenchmarkServeSynthesizeHot(b *testing.B) {
-	s := serve.New(serve.Config{})
-	defer s.Close()
-	h := s.Handler()
-	const body = `{"case":1,"skip_verify":true}`
-	benchServePost(b, h, body) // warm the cache
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchServePost(b, h, body)
-	}
-	b.StopTimer()
-	if runs := benchBackendRuns(b, h); runs != 1 {
-		b.Fatalf("hot path ran the backend %.0f times, want 1", runs)
-	}
-}
-
-// batchBody50 is the benchmark batch: 50 items cycling over 3 unique
-// specs (cases 1..3, skip_verify keeps each unique synthesis one-pass),
-// the same shape as the batch acceptance test.
-func batchBody50() string {
-	var sb strings.Builder
-	sb.WriteString(`{"items":[`)
-	for i := 0; i < 50; i++ {
-		if i > 0 {
-			sb.WriteString(",")
-		}
-		fmt.Fprintf(&sb, `{"case":%d,"skip_verify":true}`, 1+i%3)
-	}
-	sb.WriteString(`]}`)
-	return sb.String()
-}
-
-// benchBatchPost drives one POST /v1/batch through the handler
-// in-process.
-func benchBatchPost(b *testing.B, h http.Handler, body string) {
-	b.Helper()
-	req := httptest.NewRequest("POST", "/v1/batch", strings.NewReader(body))
-	req.Header.Set("Content-Type", "application/json")
-	w := httptest.NewRecorder()
-	h.ServeHTTP(w, req)
-	if w.Code != http.StatusOK || w.Body.Len() == 0 {
-		b.Fatalf("status %d, %d bytes: %s", w.Code, w.Body.Len(), w.Body.String())
-	}
-}
-
-// BenchmarkBatchSynthesize50Cold: a fresh daemon per iteration, so the
-// 50-item batch pays for exactly its 3 unique syntheses — the other 47
-// items ride the per-item cache and singleflight. The backend_runs
-// metric pins the dedup contract into the snapshot.
-func BenchmarkBatchSynthesize50Cold(b *testing.B) {
-	body := batchBody50()
-	var runs float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		s := serve.New(serve.Config{})
-		h := s.Handler()
-		b.StartTimer()
-		benchBatchPost(b, h, body)
-		b.StopTimer()
-		runs = benchBackendRuns(b, h)
-		if runs != 3 {
-			b.Fatalf("cold batch ran the backend %.0f times, want 3", runs)
-		}
-		s.Close()
-		b.StartTimer()
-	}
-	b.StopTimer()
-	b.ReportMetric(50, "items")
-	b.ReportMetric(runs, "backend_runs")
-}
-
-// BenchmarkBatchSynthesize50Warm repeats the identical batch against
-// one daemon; after the warm-up every item is a cache hit, so the
-// sec/op ratio against the cold pair is the value of content-addressed
-// reuse on repeated spec-grid workloads.
-func BenchmarkBatchSynthesize50Warm(b *testing.B) {
-	s := serve.New(serve.Config{})
-	defer s.Close()
-	h := s.Handler()
-	body := batchBody50()
-	benchBatchPost(b, h, body) // warm the per-item cache
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchBatchPost(b, h, body)
-	}
-	b.StopTimer()
-	runs := benchBackendRuns(b, h)
-	if runs != 3 {
-		b.Fatalf("warm batches ran the backend %.0f times, want 3", runs)
-	}
-	b.ReportMetric(50, "items")
-	b.ReportMetric(runs, "backend_runs")
-}
-
 // --- Cold-path caching stage benchmarks ---
 //
 // One benchmark per cache layer, in cold/warm pairs where a cache is
 // involved; the pair ratio is the layer's contribution to the cold-path
-// speedup recorded in BENCH_8.json. Results are bit-identical either
-// way (see internal/core/differential_test.go).
+// speedup. Results are bit-identical either way (see
+// internal/core/differential_test.go).
 
 // BenchmarkModelCardEval: one full device-model evaluation — the drain
 // current plus six extra core solves for the numerical conductances.
@@ -642,8 +428,8 @@ func BenchmarkLayoutPlanSessionWarm(b *testing.B) {
 // topology — the registry-level rows-vs-slicing comparison. Cold plans
 // with no session; warm plans against a session primed by one prior
 // call, so the ratio is each backend's incremental-extraction win.
-// area_um2 and cap_fF are deterministic and land in the benchsnap
-// record as the per-backend quality A/B.
+// area_um2 and cap_fF are deterministic and are the per-backend
+// quality A/B.
 func benchLayoutBackend(b *testing.B, topology, backendName string, warm bool) {
 	b.Helper()
 	tech := techno.Default060()

@@ -10,7 +10,6 @@ test -z "$(gofmt -l .)"
 
 go vet ./...
 go build ./...
-go build ./cmd/...
 
 # Benchmark-module lane: perfbench is a separate module (loas/perfbench)
 # that root `go test ./...` never compiles, yet it calls internal/ APIs.
@@ -26,6 +25,10 @@ go build ./cmd/...
 go test -race -count=1 -run 'TestDifferential' ./internal/core
 go test -race -count=1 -run 'TestSessionIncremental' ./internal/layout/cairo
 go test -count=1 -run 'Golden' ./internal/repro ./internal/serve
+
+# Repeat lane: the metrics registry is process-wide, so a test that
+# assumes it starts from zero passes once and fails on the second run.
+go test -count=3 ./internal/obs
 
 # Race lane doubles as the coverage gate: total statement coverage must
 # not sink below the floor (the suite sits near 84% — the floor trips on
@@ -52,9 +55,3 @@ go test -race -run '^$' -fuzz FuzzBatchCanonicalKey -fuzztime 5s ./internal/serv
 # Fuzz the run-ledger decoder: arbitrary bytes must never panic the
 # reader, and valid records must round-trip byte-identically.
 go test -race -run '^$' -fuzz FuzzLedgerDecode -fuzztime 5s ./internal/obs
-
-# Perf-trajectory lane: the committed benchmark snapshots must agree on
-# every hex-exact custom metric — those are reproduced paper quantities,
-# and a single-ULP drift between snapshots fails the diff (nonzero
-# exit). ns/op differences are machine noise and only reported.
-go run ./cmd/benchsnap diff BENCH_8.json BENCH_9.json

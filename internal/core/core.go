@@ -85,10 +85,12 @@ type Options struct {
 	backend layout.Backend
 }
 
-// CacheOptions turns cold-path cache layers off, one by one. All layers
-// key on exact bit patterns of their inputs, so results are identical
-// either way; the flags exist for the differential harness, for
-// benchmarking each layer's contribution, and as an escape hatch.
+// CacheOptions turns the three synthesis cache layers off, one by one.
+// All layers key on exact bit patterns of their inputs, so results are
+// identical either way; the flags exist for the differential harness,
+// for benchmarking each layer's contribution, and as an escape hatch.
+// The fourth cold-path layer, Monte-Carlo batching, is not part of
+// synthesis: mc.OffsetConfig.PerSolveRebuild selects its legacy path.
 type CacheOptions struct {
 	// DisableEvalMemo turns off memoized device-model evaluation
 	// (width/bias bisections and design-point operating points) across
@@ -101,11 +103,6 @@ type CacheOptions struct {
 	// DisableShapeCache turns off slicing-tree shape-function reuse
 	// across layout calls.
 	DisableShapeCache bool
-	// DisableMCBatch selects the legacy Monte-Carlo evaluation that
-	// rebuilds the netlist and engine per bisection probe. Synthesize
-	// itself runs no Monte-Carlo; callers of the MC verification
-	// interface forward this flag to mc.OffsetConfig.PerSolveRebuild.
-	DisableMCBatch bool
 }
 
 func (o *Options) defaults() {
@@ -174,6 +171,9 @@ func metricName(topology string) string {
 // outer corner-driven refinement (SynthesizeRefined); otherwise this is
 // the one-shot flow, bit-identical to the pre-refinement engine.
 func Synthesize(tech *techno.Tech, spec sizing.OTASpec, opts Options) (*Result, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
 	opts.defaults()
 	if !opts.Caches.DisableEvalMemo {
 		opts.memo = device.NewMemo(0)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -373,6 +374,28 @@ func TestOptionsValidation(t *testing.T) {
 	tech := techno.Default060()
 	if _, err := Synthesize(tech, sizing.Default65MHz(), Options{Case: 7}); err == nil {
 		t.Fatal("case 7 accepted")
+	}
+	// Invalid specs fail with the typed error before any sizing runs,
+	// on every topology.
+	for _, name := range sizing.Topologies() {
+		plan, err := sizing.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nanGBW := plan.DefaultSpec()
+		nanGBW.GBW = math.NaN()
+		swappedICM := plan.DefaultSpec()
+		swappedICM.ICMLow, swappedICM.ICMHigh = swappedICM.ICMHigh, swappedICM.ICMLow
+		infCL := plan.DefaultSpec()
+		infCL.CL = math.Inf(1)
+		for tag, spec := range map[string]sizing.OTASpec{
+			"nan-gbw": nanGBW, "swapped-icm": swappedICM, "inf-cl": infCL,
+		} {
+			var se *sizing.SpecError
+			if _, err := Synthesize(tech, spec, Options{Topology: name, Case: 1}); !errors.As(err, &se) {
+				t.Errorf("%s %s: err %v, want *sizing.SpecError", name, tag, err)
+			}
+		}
 	}
 }
 

@@ -23,12 +23,12 @@ import (
 // report and the full layout geometry. Timing fields are the only
 // exclusion (they measure the caches' purpose).
 
-// cachesOff disables all four layers; the zero value enables them.
+// cachesOff disables all three synthesis cache layers; the zero value
+// enables them. Monte-Carlo batching is pinned by TestDifferentialMCBatch.
 var cachesOff = CacheOptions{
 	DisableEvalMemo:           true,
 	DisableIncrementalExtract: true,
 	DisableShapeCache:         true,
-	DisableMCBatch:            true,
 }
 
 func hx(v float64) string { return strconv.FormatFloat(v, 'x', -1, 64) }

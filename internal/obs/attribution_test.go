@@ -7,26 +7,63 @@ import (
 	"os"
 	"path/filepath"
 	"runtime/pprof"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 // goroutineLabels captures the debug=1 goroutine profile, whose text
 // form prints each goroutine group's pprof labels as `# labels: {...}`.
-func goroutineLabels(t *testing.T) string {
+// It retries until the profile contains want: while the runtime's
+// finalizer goroutine is starting up it counts as a user goroutine, and
+// the runtime then truncates the profile by one goroutine, which can
+// drop the one under test.
+func goroutineLabels(t *testing.T, want string) string {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := pprof.Lookup("goroutine").WriteTo(&buf, 1); err != nil {
-		t.Fatal(err)
+	for try := 0; try < 100; try++ {
+		buf.Reset()
+		if err := pprof.Lookup("goroutine").WriteTo(&buf, 1); err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(buf.String(), want) {
+			break
+		}
+		time.Sleep(time.Millisecond)
 	}
 	return buf.String()
 }
 
+// phaseCount reads loas_phase_seconds_count for one phase from the
+// process-wide registry (0 before the first observation).
+func phaseCount(t *testing.T, phase string) int {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := Default.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	prefix := `loas_phase_seconds_count{phase="` + phase + `"} `
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, prefix); ok {
+			n, err := strconv.Atoi(v)
+			if err != nil {
+				t.Fatalf("%s%s: %v", prefix, v, err)
+			}
+			return n
+		}
+	}
+	return 0
+}
+
 // TestPhaseAppliesPprofLabel: while Phase(fn) runs, the goroutine
 // carries phase=<name> layered over the ctx labels, visible in the
-// goroutine profile; phase wall time lands in loas_phase_seconds.
+// goroutine profile; phase wall time lands in loas_phase_seconds. The
+// registry is process-wide, so the count is checked as a delta (the
+// test must pass under -count=N).
 func TestPhaseAppliesPprofLabel(t *testing.T) {
 	ctx := LabelCtx(context.Background(), "topology", "test_topo_xyz", "run_id", "run-000777")
+	before := phaseCount(t, "test-phase-abc")
 
 	inPhase := make(chan struct{})
 	release := make(chan struct{})
@@ -39,7 +76,7 @@ func TestPhaseAppliesPprofLabel(t *testing.T) {
 		})
 	}()
 	<-inPhase
-	prof := goroutineLabels(t)
+	prof := goroutineLabels(t, `"phase":"test-phase-abc"`)
 	close(release)
 	<-done
 
@@ -50,12 +87,8 @@ func TestPhaseAppliesPprofLabel(t *testing.T) {
 	}
 
 	// The phase duration must have been observed into the histogram vec.
-	var buf bytes.Buffer
-	if err := Default.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `loas_phase_seconds_count{phase="test-phase-abc"} 1`) {
-		t.Errorf("loas_phase_seconds missing the phase observation:\n%s", buf.String())
+	if got := phaseCount(t, "test-phase-abc"); got != before+1 {
+		t.Errorf("loas_phase_seconds_count{phase=\"test-phase-abc\"} = %d after one Phase, want %d", got, before+1)
 	}
 }
 

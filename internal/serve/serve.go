@@ -500,11 +500,7 @@ func (s *Server) specFor(o *sizing.OTASpec, topology string) (sizing.OTASpec, er
 	if o != nil {
 		spec = *o
 	}
-	if spec.VDD <= 0 || spec.GBW <= 0 || spec.CL <= 0 || spec.PM <= 0 {
-		return spec, fmt.Errorf("spec requires positive vdd, gbw, pm, cl (got vdd=%g gbw=%g pm=%g cl=%g)",
-			spec.VDD, spec.GBW, spec.PM, spec.CL)
-	}
-	return spec, nil
+	return spec, spec.Validate()
 }
 
 // decodeJSON reads a request body strictly (unknown fields are errors —

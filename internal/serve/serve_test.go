@@ -203,7 +203,8 @@ func TestQueueFullShedsLoad(t *testing.T) {
 func TestBadRequests(t *testing.T) {
 	stub := &stubBackend{}
 	_, ts := newStubServer(t, Config{}, stub)
-	for _, tc := range []struct{ path, body string }{
+	type badRequest struct{ path, body string }
+	cases := []badRequest{
 		{"/v1/synthesize", `{"case":9}`},
 		{"/v1/synthesize", `{"unknown_field":1}`},
 		{"/v1/mc", `{"n":-4}`},
@@ -211,7 +212,26 @@ func TestBadRequests(t *testing.T) {
 		{"/v1/synthesize", `not json`},
 		{"/v1/synthesize", `{"topology":"no-such-ota"}`},
 		{"/v1/mc", `{"topology":"no-such-ota"}`},
-	} {
+	}
+	// Specs that Validate rejects, on every topology. JSON has no NaN,
+	// so a NaN GBW fails in the decoder; a swapped input common-mode
+	// range decodes fine and must fail in specFor.
+	for _, name := range sizing.Topologies() {
+		plan, err := sizing.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := plan.DefaultSpec()
+		spec.ICMLow, spec.ICMHigh = spec.ICMHigh, spec.ICMLow
+		js, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases,
+			badRequest{"/v1/synthesize", fmt.Sprintf(`{"topology":%q,"spec":%s}`, name, js)},
+			badRequest{"/v1/synthesize", fmt.Sprintf(`{"topology":%q,"spec":{"gbw":NaN}}`, name)})
+	}
+	for _, tc := range cases {
 		resp, data := post(t, ts.URL+tc.path, tc.body)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s %s: status %d (%s), want 400", tc.path, tc.body, resp.StatusCode, data)

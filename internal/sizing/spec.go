@@ -36,6 +36,52 @@ type OTASpec struct {
 	OutHigh float64 `json:"out_high"`
 }
 
+// SpecError is the typed error OTASpec.Validate returns; Field is the
+// JSON name of the offending field.
+type SpecError struct {
+	Field  string
+	Value  float64
+	Reason string
+}
+
+func (e *SpecError) Error() string {
+	return fmt.Sprintf("invalid spec: %s = %g %s", e.Field, e.Value, e.Reason)
+}
+
+// Validate rejects a spec no plan can size meaningfully: every field
+// must be finite, VDD, GBW, PM and CL must be positive, and both the
+// input common-mode and the output range must be non-empty (low below
+// high). The low ends may be negative (the paper's ICM range starts at
+// −0.55 V); whether the ranges fit the supply is not checked here.
+func (s OTASpec) Validate() error {
+	fields := []struct {
+		name     string
+		v        float64
+		positive bool
+	}{
+		{"vdd", s.VDD, true}, {"gbw", s.GBW, true}, {"pm", s.PM, true}, {"cl", s.CL, true},
+		{"icm_low", s.ICMLow, false}, {"icm_high", s.ICMHigh, false},
+		{"out_low", s.OutLow, false}, {"out_high", s.OutHigh, false},
+	}
+	for _, f := range fields {
+		switch {
+		case math.IsNaN(f.v) || math.IsInf(f.v, 0):
+			return &SpecError{Field: f.name, Value: f.v, Reason: "is not finite"}
+		case f.positive && f.v <= 0:
+			return &SpecError{Field: f.name, Value: f.v, Reason: "must be positive"}
+		}
+	}
+	if s.ICMLow >= s.ICMHigh {
+		return &SpecError{Field: "icm_low", Value: s.ICMLow,
+			Reason: fmt.Sprintf("must be below icm_high = %g", s.ICMHigh)}
+	}
+	if s.OutLow >= s.OutHigh {
+		return &SpecError{Field: "out_low", Value: s.OutLow,
+			Reason: fmt.Sprintf("must be below out_high = %g", s.OutHigh)}
+	}
+	return nil
+}
+
 // Default65MHz reproduces the paper's example specification: VDD = 3.3 V,
 // GBW = 65 MHz, PM = 65°, CL = 3 pF, ICM = [−0.55, 1.84] V,
 // out = [0.51, 2.31] V.
