@@ -26,6 +26,13 @@ go test -race -count=1 -run 'TestDifferential' ./internal/core
 go test -race -count=1 -run 'TestSessionIncremental' ./internal/layout/cairo
 go test -count=1 -run 'Golden' ./internal/repro ./internal/serve
 
+# Allocation lane: the solver workspaces (reused LU storage, the
+# per-call Newton workspace, the AC solver's buffers) are gated by
+# allocation counts, which are deterministic where timings are not. The
+# race detector instruments allocations, so these tests build only
+# without -race and the whole-suite race run below skips them.
+go test -count=1 -run 'Allocs' ./internal/linalg ./internal/sim
+
 # Repeat lane: the metrics registry is process-wide, so a test that
 # assumes it starts from zero passes once and fails on the second run.
 go test -count=3 ./internal/obs

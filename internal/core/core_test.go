@@ -11,6 +11,7 @@ import (
 
 	"loas/internal/layout/extract"
 	"loas/internal/obs"
+	"loas/internal/sim"
 	"loas/internal/sizing"
 	"loas/internal/techno"
 )
@@ -423,5 +424,47 @@ func TestCornerSweep(t *testing.T) {
 		if p.PhaseDeg < 45 {
 			t.Fatalf("corner %s phase margin %.1f° collapsed", c, p.PhaseDeg)
 		}
+	}
+
+	// The measured slew transient stops once the output has settled. For
+	// every topology, Table-1 case and corner, its slew rate must equal
+	// the maximum slope of the full 60/GBW transient on the same bench,
+	// bit for bit.
+	for _, topo := range sizing.Topologies() {
+		t.Run(topo, func(t *testing.T) {
+			t.Parallel()
+			plan, err := sizing.Lookup(topo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var all []*Result
+			if topo == sizing.DefaultTopology {
+				r := allCases(t)
+				all = r[1:]
+			} else if all, err = SynthesizeAll(tech, plan.DefaultSpec(), Options{Topology: topo}); err != nil {
+				t.Fatal(err)
+			}
+			for i, res := range all {
+				perfs, err := CornerSweep(tech, res)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for c, p := range perfs {
+					bench, err := cornerBench(tech, c, res)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ckt, opts := bench.SlewBench(p.GBW)
+					full, err := sim.NewEngine(ckt, bench.Temp).Tran(60/p.GBW, 0.02/p.GBW, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want, _ := full.MaxSlope(ckt, bench.Out); math.Float64bits(p.SlewRate) != math.Float64bits(want) {
+						t.Errorf("case %d corner %s: settle-stopped slew rate %x, full transient %x",
+							i+1, c, math.Float64bits(p.SlewRate), math.Float64bits(want))
+					}
+				}
+			}
+		})
 	}
 }

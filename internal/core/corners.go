@@ -21,13 +21,27 @@ import (
 // operating points during synthesis "increases the reliability of the
 // produced circuits".
 func VerifyAtCorner(tech *techno.Tech, corner techno.Corner, res *Result) (*sizing.Performance, error) {
-	ct, err := tech.AtCorner(corner)
+	bench, err := cornerBench(tech, corner, res)
 	if err != nil {
 		return nil, err
 	}
+	rep, err := meas.Measure(bench)
+	if err != nil {
+		return nil, fmt.Errorf("core: corner %s: %w", corner, err)
+	}
+	return &rep.Perf, nil
+}
+
+// cornerBench is VerifyAtCorner's measurement bench: the extracted
+// netlist on the corner's model cards, biased for that corner.
+func cornerBench(tech *techno.Tech, corner techno.Corner, res *Result) (meas.Bench, error) {
+	ct, err := tech.AtCorner(corner)
+	if err != nil {
+		return meas.Bench{}, err
+	}
 	bias, err := res.Design.BiasFor(ct)
 	if err != nil {
-		return nil, fmt.Errorf("core: corner %s bias: %w", corner, err)
+		return meas.Bench{}, fmt.Errorf("core: corner %s bias: %w", corner, err)
 	}
 	sources := res.Design.BiasSources()
 	build := func() *circuit.Circuit {
@@ -42,11 +56,7 @@ func VerifyAtCorner(tech *techno.Tech, corner techno.Corner, res *Result) (*sizi
 		}
 		return ckt
 	}
-	rep, err := meas.Measure(OTABench(tech, res.Spec, res.Design, build))
-	if err != nil {
-		return nil, fmt.Errorf("core: corner %s: %w", corner, err)
-	}
-	return &rep.Perf, nil
+	return OTABench(tech, res.Spec, res.Design, build), nil
 }
 
 // CornerSweep verifies the design at all five corners concurrently. Each

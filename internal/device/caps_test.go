@@ -108,6 +108,38 @@ func TestCapsAllNonNegative(t *testing.T) {
 	}
 }
 
+// TestCapsAtMatchesEvalCaps pins the transient's cap-only path:
+// CapsAt must equal Caps(Eval(...)) bit-for-bit over a bias grid spanning
+// off, weak and strong inversion, both polarities, body bias and reversed
+// drain/source.
+func TestCapsAtMatchesEvalCaps(t *testing.T) {
+	tech := techno.Default060()
+	temp := techno.TempNominal
+	for _, card := range []*techno.MOSCard{&tech.N, &tech.P} {
+		m := &MOS{Card: card, W: 30 * um, L: 0.8 * um, Geom: OneFoldGeom(tech, 30*um), Mult: 2}
+		sign := card.VTSign()
+		for _, vgs := range []float64{-0.3, 0, 0.4, 0.7, 1.0, 1.8} {
+			for _, vds := range []float64{-1.2, -0.05, 0, 0.05, 0.3, 1.5, 3.0} {
+				for _, vsb := range []float64{0, 0.4, 1.1} {
+					// NMOS-convention biases mirrored for PMOS, around a
+					// nonzero source so every terminal differs.
+					vs := 1.0 + sign*vsb
+					vg, vd, vb := vs+sign*vgs, vs+sign*vds, vs-sign*vsb
+					want := m.Caps(m.Eval(vg, vd, vs, vb, temp), temp)
+					got := m.CapsAt(vg, vd, vs, vb, temp)
+					w := []float64{want.CGS, want.CGD, want.CGB, want.CDB, want.CSB}
+					for i, g := range []float64{got.CGS, got.CGD, got.CGB, got.CDB, got.CSB} {
+						if math.Float64bits(g) != math.Float64bits(w[i]) {
+							t.Fatalf("%v vgs=%g vds=%g vsb=%g cap %d: CapsAt %x, Caps(Eval) %x",
+								card.Type, vgs, vds, vsb, i, math.Float64bits(g), math.Float64bits(w[i]))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestGateCapScalesWithArea(t *testing.T) {
 	tech := techno.Default060()
 	a := (&MOS{Card: &tech.N, W: 10 * um, L: 1 * um}).GateCap()

@@ -179,17 +179,7 @@ func (m *MOS) Eval(vg, vd, vs, vb, temp float64) OP {
 	c := m.Card
 	vt := techno.ThermalVoltage(temp)
 	sign := c.VTSign()
-
-	// Mirror PMOS into NMOS convention and reference to bulk.
-	vgb := sign * (vg - vb)
-	vdb := sign * (vd - vb)
-	vsb := sign * (vs - vb)
-
-	swapped := false
-	if vdb < vsb {
-		vdb, vsb = vsb, vdb
-		swapped = true
-	}
+	vgb, vdb, vsb, swapped := m.bulkReferred(vg, vd, vs, vb)
 
 	id := m.idsCore(vgb, vdb, vsb, vt)
 
@@ -208,7 +198,7 @@ func (m *MOS) Eval(vg, vd, vs, vb, temp float64) OP {
 	}
 
 	vp, n := pinchOff(c, vgb)
-	vthEff := c.VT0 + c.Gamma*(math.Sqrt(softPlus(c.Phi+vsb, 1e-9))-math.Sqrt(c.Phi))
+	vthEff := threshold(c, vsb)
 	veff := vgb - vsb - vthEff
 	vdsat := 2*vt*lnOnePlusExp((vp-vsb)/(2*vt)) + 4*vt
 
@@ -253,23 +243,49 @@ func (m *MOS) Eval(vg, vd, vs, vb, temp float64) OP {
 func (m *MOS) EvalID(vg, vd, vs, vb, temp float64) float64 {
 	c := m.Card
 	vt := techno.ThermalVoltage(temp)
-	sign := c.VTSign()
+	vgb, vdb, vsb, swapped := m.bulkReferred(vg, vd, vs, vb)
 
-	vgb := sign * (vg - vb)
-	vdb := sign * (vd - vb)
-	vsb := sign * (vs - vb)
-
-	swapped := false
-	if vdb < vsb {
-		vdb, vsb = vsb, vdb
-		swapped = true
-	}
-
-	id := sign * m.idsCore(vgb, vdb, vsb, vt)
+	id := c.VTSign() * m.idsCore(vgb, vdb, vsb, vt)
 	if swapped {
 		id = -id
 	}
 	return id
+}
+
+// CapsAt is Caps at the operating point Eval would return for these
+// terminal voltages, without the drain current and conductances Eval
+// also computes: Caps reads only Veff, VDS, VBS and Swapped, and those
+// come from the same expressions Eval uses, so the result is
+// bit-identical to Caps(Eval(...)).
+func (m *MOS) CapsAt(vg, vd, vs, vb, temp float64) CapSet {
+	vgb, _, vsb, swapped := m.bulkReferred(vg, vd, vs, vb)
+	return m.Caps(OP{
+		VDS:     vd - vs,
+		VBS:     vb - vs,
+		Veff:    vgb - vsb - threshold(m.Card, vsb),
+		Swapped: swapped,
+	}, temp)
+}
+
+// bulkReferred mirrors PMOS terminal voltages into the NMOS convention,
+// references them to the bulk, and exchanges drain and source when the
+// channel conducts backwards (swapped reports the exchange).
+func (m *MOS) bulkReferred(vg, vd, vs, vb float64) (vgb, vdb, vsb float64, swapped bool) {
+	sign := m.Card.VTSign()
+	vgb = sign * (vg - vb)
+	vdb = sign * (vd - vb)
+	vsb = sign * (vs - vb)
+	if vdb < vsb {
+		vdb, vsb = vsb, vdb
+		swapped = true
+	}
+	return vgb, vdb, vsb, swapped
+}
+
+// threshold is the threshold voltage including body effect at the
+// bulk-referred source voltage vsb (NMOS convention).
+func threshold(c *techno.MOSCard, vsb float64) float64 {
+	return c.VT0 + c.Gamma*(math.Sqrt(softPlus(c.Phi+vsb, 1e-9))-math.Sqrt(c.Phi))
 }
 
 // IDSat returns the drain current in saturation for a given overdrive,
@@ -278,7 +294,7 @@ func (m *MOS) EvalID(vg, vd, vs, vb, temp float64) float64 {
 func (m *MOS) IDSat(veff, vsb, temp float64) float64 {
 	c := m.Card
 	vt := techno.ThermalVoltage(temp)
-	vthEff := c.VT0 + c.Gamma*(math.Sqrt(softPlus(c.Phi+vsb, 1e-9))-math.Sqrt(c.Phi))
+	vthEff := threshold(c, vsb)
 	vgb := veff + vthEff + vsb
 	vdb := vsb + veff + 8*vt // comfortably saturated
 	if veff < 0.1 {
@@ -291,7 +307,7 @@ func (m *MOS) IDSat(veff, vsb, temp float64) float64 {
 func (m *MOS) GmAt(veff, vsb, temp float64) float64 {
 	c := m.Card
 	vt := techno.ThermalVoltage(temp)
-	vthEff := c.VT0 + c.Gamma*(math.Sqrt(softPlus(c.Phi+vsb, 1e-9))-math.Sqrt(c.Phi))
+	vthEff := threshold(c, vsb)
 	vgb := veff + vthEff + vsb
 	vdb := vsb + veff + 8*vt
 	if veff < 0.1 {

@@ -50,7 +50,8 @@ func (m *Real) Clone() *Real {
 	return c
 }
 
-// LUReal is an in-place LU factorization with partial pivoting.
+// LUReal is an in-place LU factorization with partial pivoting. The zero
+// value is ready for Factor, which reuses its storage across matrices.
 type LUReal struct {
 	n    int
 	lu   []float64
@@ -60,8 +61,21 @@ type LUReal struct {
 
 // FactorReal computes the LU factorization of m (m is not modified).
 func FactorReal(m *Real) (*LUReal, error) {
+	f := &LUReal{}
+	if err := f.Factor(m); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// Factor computes the LU factorization of m into f (m is not modified),
+// reusing f's storage when it is large enough. After an error f holds no
+// usable factorization until the next successful Factor.
+func (f *LUReal) Factor(m *Real) error {
 	n := m.N
-	f := &LUReal{n: n, lu: make([]float64, n*n), piv: make([]int, n), sign: 1}
+	f.n, f.sign = n, 1
+	f.lu = resize(f.lu, n*n)
+	f.piv = resize(f.piv, n)
 	copy(f.lu, m.A)
 	lu := f.lu
 	for i := range f.piv {
@@ -76,7 +90,7 @@ func FactorReal(m *Real) (*LUReal, error) {
 			}
 		}
 		if maxAbs < pivotTiny {
-			return nil, ErrSingular
+			return ErrSingular
 		}
 		if p != k {
 			rowK := lu[k*n : k*n+n]
@@ -101,13 +115,20 @@ func FactorReal(m *Real) (*LUReal, error) {
 			}
 		}
 	}
-	return f, nil
+	return nil
 }
 
 // Solve solves A·x = b, returning x as a new slice.
 func (f *LUReal) Solve(b []float64) []float64 {
+	x := make([]float64, f.n)
+	f.SolveInto(x, b)
+	return x
+}
+
+// SolveInto solves A·x = b into x, which must have length n and must not
+// share storage with b.
+func (f *LUReal) SolveInto(x, b []float64) {
 	n := f.n
-	x := make([]float64, n)
 	for i := 0; i < n; i++ {
 		x[i] = b[f.piv[i]]
 	}
@@ -129,7 +150,15 @@ func (f *LUReal) Solve(b []float64) []float64 {
 		}
 		x[i] = s / row[i]
 	}
-	return x
+}
+
+// resize returns s with length n, reallocating only when its capacity is
+// too small. The contents are left for the caller to overwrite.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // Complex is a dense complex matrix stored row-major.
@@ -166,8 +195,20 @@ type LUComplex struct {
 
 // FactorComplex computes the LU factorization of m (m is not modified).
 func FactorComplex(m *Complex) (*LUComplex, error) {
+	f := &LUComplex{}
+	if err := f.Factor(m); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// Factor computes the LU factorization of m into f (m is not modified),
+// reusing f's storage as LUReal.Factor does.
+func (f *LUComplex) Factor(m *Complex) error {
 	n := m.N
-	f := &LUComplex{n: n, lu: make([]complex128, n*n), piv: make([]int, n)}
+	f.n = n
+	f.lu = resize(f.lu, n*n)
+	f.piv = resize(f.piv, n)
 	copy(f.lu, m.A)
 	lu := f.lu
 	for i := range f.piv {
@@ -181,7 +222,7 @@ func FactorComplex(m *Complex) (*LUComplex, error) {
 			}
 		}
 		if maxAbs < pivotTiny {
-			return nil, ErrSingular
+			return ErrSingular
 		}
 		if p != k {
 			rowK := lu[k*n : k*n+n]
@@ -205,13 +246,20 @@ func FactorComplex(m *Complex) (*LUComplex, error) {
 			}
 		}
 	}
-	return f, nil
+	return nil
 }
 
 // Solve solves A·x = b, returning x as a new slice.
 func (f *LUComplex) Solve(b []complex128) []complex128 {
+	x := make([]complex128, f.n)
+	f.SolveInto(x, b)
+	return x
+}
+
+// SolveInto solves A·x = b into x, which must have length n and must not
+// share storage with b.
+func (f *LUComplex) SolveInto(x, b []complex128) {
 	n := f.n
-	x := make([]complex128, n)
 	for i := 0; i < n; i++ {
 		x[i] = b[f.piv[i]]
 	}
@@ -231,7 +279,6 @@ func (f *LUComplex) Solve(b []complex128) []complex128 {
 		}
 		x[i] = s / row[i]
 	}
-	return x
 }
 
 // MulVecReal computes y = A·x for a real matrix (used by residual checks

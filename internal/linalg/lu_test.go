@@ -205,3 +205,82 @@ func TestAddAccumulates(t *testing.T) {
 		t.Fatalf("Add: got %g want 5", m.At(0, 1))
 	}
 }
+
+// randReal and randComplex draw dense matrices with no diagonal
+// dominance, so partial pivoting swaps rows.
+func randReal(r *rand.Rand, n int) *Real {
+	m := NewReal(n)
+	for i := range m.A {
+		m.A[i] = r.NormFloat64()
+	}
+	return m
+}
+
+func randComplex(r *rand.Rand, n int) *Complex {
+	m := NewComplex(n)
+	for i := range m.A {
+		m.A[i] = complex(r.NormFloat64(), r.NormFloat64())
+	}
+	return m
+}
+
+// TestReusedLUMatchesFresh pins the workspace contract: one LUReal and
+// one LUComplex reused across growing and shrinking sizes, each time
+// after a singular matrix, solve bit-for-bit as fresh factorizations do.
+func TestReusedLUMatchesFresh(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	var lr LUReal
+	var lc LUComplex
+	for _, n := range []int{3, 20, 7} {
+		mr, mc := randReal(r, n), randComplex(r, n)
+		br, bc := make([]float64, n), make([]complex128, n)
+		for i := range br {
+			br[i] = r.NormFloat64()
+			bc[i] = complex(r.NormFloat64(), r.NormFloat64())
+		}
+
+		fr, err := FactorReal(mr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := lr.Factor(mr); err != nil {
+			t.Fatal(err)
+		}
+		want, got := fr.Solve(br), make([]float64, n)
+		lr.SolveInto(got, br)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("n=%d real x[%d]: reused %x, fresh %x", n, i,
+					math.Float64bits(got[i]), math.Float64bits(want[i]))
+			}
+		}
+
+		fc, err := FactorComplex(mc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := lc.Factor(mc); err != nil {
+			t.Fatal(err)
+		}
+		wantC, gotC := fc.Solve(bc), make([]complex128, n)
+		lc.SolveInto(gotC, bc)
+		for i := range wantC {
+			if math.Float64bits(real(gotC[i])) != math.Float64bits(real(wantC[i])) ||
+				math.Float64bits(imag(gotC[i])) != math.Float64bits(imag(wantC[i])) {
+				t.Fatalf("n=%d complex x[%d]: reused %v, fresh %v", n, i, gotC[i], wantC[i])
+			}
+		}
+
+		// A repeated row is singular; the failed Factor must leave the
+		// receiver reusable for the next size.
+		sr, sc := randReal(r, 4), randComplex(r, 4)
+		copy(sr.A[4:8], sr.A[0:4])
+		copy(sc.A[4:8], sc.A[0:4])
+		if err := lr.Factor(sr); err != ErrSingular {
+			t.Fatalf("real Factor on a singular matrix: err %v", err)
+		}
+		if err := lc.Factor(sc); err != ErrSingular {
+			t.Fatalf("complex Factor on a singular matrix: err %v", err)
+		}
+	}
+}

@@ -46,10 +46,11 @@ func Measure(b Bench) (*Report, error) {
 
 	// 1. Systematic offset: differential input voltage that centres the
 	// output. Everything small-signal is measured at that bias.
-	voff, op, eng, ckt, err := b.findOffset()
+	voff, op, eng, ckt, solves, err := b.findOffset()
 	if err != nil {
 		return nil, fmt.Errorf("meas: offset search: %w", err)
 	}
+	rep.OffsetIterations = solves
 	rep.Perf.Offset = voff
 	rep.Perf.Power = op.SupplyCurrent(b.SupplyName) * supplyVoltage(ckt, b.SupplyName)
 
@@ -118,49 +119,44 @@ func (b *Bench) nodeSet() map[string]float64 {
 	return ns
 }
 
-// findOffset bisects the differential input for V(out) = VoutMid.
-func (b *Bench) findOffset() (float64, *sim.OPResult, *sim.Engine, *circuit.Circuit, error) {
-	solve := func(vid float64) (*sim.OPResult, *sim.Engine, *circuit.Circuit, error) {
-		ckt := b.openLoop(vid, true, false)
-		eng := sim.NewEngine(ckt, b.Temp)
-		op, err := eng.OP(sim.OPOptions{NodeSet: b.nodeSet()})
-		return op, eng, ckt, err
-	}
-	f := func(vid int, op *sim.OPResult, ckt *circuit.Circuit) float64 {
-		_ = vid
-		return op.Volt(ckt, b.Out) - b.VoutMid
+// findOffset bisects the differential input for V(out) = VoutMid. It
+// returns the bench at the final input and the number of DC solves spent:
+// the two bracket ends plus every bisection step.
+func (b *Bench) findOffset() (vid float64, op *sim.OPResult, eng *sim.Engine, ckt *circuit.Circuit, solves int, err error) {
+	// solve leaves the bench at differential input v in op, eng and ckt
+	// and returns V(out) − VoutMid.
+	solve := func(v float64) (float64, error) {
+		solves++
+		ckt = b.openLoop(v, true, false)
+		eng = sim.NewEngine(ckt, b.Temp)
+		var err error
+		if op, err = eng.OP(sim.OPOptions{NodeSet: b.nodeSet()}); err != nil {
+			return 0, err
+		}
+		return op.Volt(ckt, b.Out) - b.VoutMid, nil
 	}
 	lo, hi := -20e-3, 20e-3
-	opLo, _, cktLo, err := solve(lo)
+	fLo, err := solve(lo)
 	if err != nil {
-		return 0, nil, nil, nil, err
+		return 0, nil, nil, nil, solves, err
 	}
-	opHi, _, cktHi, err := solve(hi)
+	fHi, err := solve(hi)
 	if err != nil {
-		return 0, nil, nil, nil, err
+		return 0, nil, nil, nil, solves, err
 	}
-	fLo, fHi := f(0, opLo, cktLo), f(0, opHi, cktHi)
 	if math.Signbit(fLo) == math.Signbit(fHi) {
 		// Gain polarity or extreme offset: report the midpoint result
 		// rather than failing (the numbers will say what is wrong).
-		op, eng, ckt, err := solve(0)
-		return 0, op, eng, ckt, err
+		_, err = solve(0)
+		return 0, op, eng, ckt, solves, err
 	}
 	// With V(out) monotone in vid (positive gain through InP), bisect.
-	var op *sim.OPResult
-	var eng *sim.Engine
-	var ckt *circuit.Circuit
-	vid := 0.0
-	iters := 0
 	for i := 0; i < 40; i++ {
 		vid = 0.5 * (lo + hi)
-		var err error
-		op, eng, ckt, err = solve(vid)
+		fm, err := solve(vid)
 		if err != nil {
-			return 0, nil, nil, nil, err
+			return 0, nil, nil, nil, solves, err
 		}
-		iters++
-		fm := f(0, op, ckt)
 		if math.Abs(fm) < 1e-4 || hi-lo < 1e-9 {
 			break
 		}
@@ -170,8 +166,7 @@ func (b *Bench) findOffset() (float64, *sim.OPResult, *sim.Engine, *circuit.Circ
 			hi = vid
 		}
 	}
-	_ = iters
-	return vid, op, eng, ckt, nil
+	return vid, op, eng, ckt, solves, nil
 }
 
 // acGainSweep measures DC gain, GBW and phase margin from the
@@ -333,11 +328,60 @@ func (b *Bench) noise(eng *sim.Engine, ckt *circuit.Circuit, op *sim.OPResult, p
 	return nil
 }
 
+// The slew transient ends once the output has settled: past the input
+// edge, the per-step output slope must stay below settleRatio times the
+// running maximum for settleSteps consecutive steps (5/GBW at the
+// 0.02/GBW step). Every step run is the full run's, so the maximum over
+// the stopped run equals the full 60/GBW run's unless a later step is
+// steeper. On the designs the test suites measure, the maximum comes at
+// most 30 steps after the edge and the stop 310 or more;
+// core's TestCornerSweep checks the equality against full transients.
+const (
+	settleRatio = 1e-3
+	settleSteps = 250
+)
+
 // slewRate steps a unity-gain buffer and measures the max output slope.
 func (b *Bench) slewRate(p *sizing.Performance) error {
 	if p.GBW <= 0 {
 		return fmt.Errorf("slew rate needs GBW first")
 	}
+	ckt, opts := b.SlewBench(p.GBW)
+	out, _ := ckt.NodeIndex(b.Out)
+	edge := 4 / p.GBW
+	var maxSlope float64
+	quiet := 0
+	settled := func(r *sim.TranResult) bool {
+		k := len(r.T) - 1
+		s := math.Abs(r.V[k][out]-r.V[k-1][out]) / (r.T[k] - r.T[k-1])
+		if s > maxSlope {
+			maxSlope = s
+		}
+		if r.T[k] <= edge {
+			return false
+		}
+		if s < settleRatio*maxSlope {
+			quiet++
+		} else {
+			quiet = 0
+		}
+		return quiet >= settleSteps
+	}
+	res, err := sim.NewEngine(ckt, b.Temp).TranUntil(60/p.GBW, 0.02/p.GBW, opts, settled)
+	if err != nil {
+		return err
+	}
+	slope, _ := res.MaxSlope(ckt, b.Out)
+	p.SlewRate = slope
+	return nil
+}
+
+// SlewBench builds the slew-rate testbench for an amplifier of unity-gain
+// frequency gbw: the amplifier as a unity-gain buffer with its load,
+// driven by a 0.8 V input step 4/gbw after t = 0, and the DC options that
+// seed its initial condition. The slew rate is the maximum output slope
+// of a transient at a 0.02/gbw step, which may run up to 60/gbw.
+func (b *Bench) SlewBench(gbw float64) (*circuit.Circuit, sim.OPOptions) {
 	ckt := b.Build()
 	// Unity feedback: inn follows out. A large resistor avoids merging
 	// the nodes so the builder's netlist stays untouched.
@@ -348,22 +392,13 @@ func (b *Bench) slewRate(p *sizing.Performance) error {
 			DC: b.VicmDC - step/2,
 			Pulse: &circuit.Pulse{
 				V1: b.VicmDC - step/2, V2: b.VicmDC + step/2,
-				Delay: 4 / p.GBW, Rise: 1e-10,
+				Delay: 4 / gbw, Rise: 1e-10,
 			}},
 		&circuit.Capacitor{Name: "tbload", A: b.Out, B: circuit.Ground, C: b.CL},
 	)
-	eng := sim.NewEngine(ckt, b.Temp)
 	ns := b.nodeSet()
 	ns[b.InP] = b.VicmDC - step/2
 	ns[b.InN] = b.VicmDC - step/2
 	ns[b.Out] = b.VicmDC - step/2
-	tstop := 60 / p.GBW
-	h := 0.02 / p.GBW
-	res, err := eng.Tran(tstop, h, sim.OPOptions{NodeSet: ns})
-	if err != nil {
-		return err
-	}
-	slope, _ := res.MaxSlope(ckt, b.Out)
-	p.SlewRate = slope
-	return nil
+	return ckt, sim.OPOptions{NodeSet: ns}
 }

@@ -91,6 +91,26 @@ func TestMeasureOffsetTiny(t *testing.T) {
 	if math.Abs(rep.Perf.Offset) > 2e-3 {
 		t.Fatalf("offset %.3f mV too large for a symmetric OTA", rep.Perf.Offset*1e3)
 	}
+
+	// The offset search reports its DC solves: two bracket ends plus the
+	// bisection steps. Pinned on the case-4 sizing of the same spec (its
+	// first pass, before any layout feedback).
+	tech := techno.Default060()
+	ps, _ := sizing.Case(4)
+	d4, err := sizing.SizeFoldedCascode(tech, sizing.Default65MHz(), ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep4, err := Measure(benchFor(d4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep4.OffsetIterations != 21 {
+		t.Fatalf("case-4 offset search took %d DC solves, want 21", rep4.OffsetIterations)
+	}
+	if math.Abs(rep4.Perf.Offset) > 2e-3 {
+		t.Fatalf("case-4 offset %.3f mV too large for a symmetric OTA", rep4.Perf.Offset*1e3)
+	}
 }
 
 func TestMeasureNoiseOrdering(t *testing.T) {

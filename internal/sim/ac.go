@@ -159,9 +159,9 @@ func voltAtNode(op *OPResult, ckt *circuit.Circuit, node string) float64 {
 	return op.V[i]
 }
 
-// assemble builds the complex MNA matrix at angular frequency w.
-func (s *acStamps) assemble(w float64) *linalg.Complex {
-	y := linalg.NewComplex(s.e.size)
+// assemble builds the complex MNA matrix at angular frequency w into y.
+func (s *acStamps) assemble(w float64, y *linalg.Complex) {
+	y.Zero()
 	for k, v := range s.gVal {
 		y.Add(s.gRow[k], s.gCol[k], complex(v, 0))
 	}
@@ -171,7 +171,6 @@ func (s *acStamps) assemble(w float64) *linalg.Complex {
 	for k, v := range s.cVal {
 		y.Add(s.cRow[k], s.cCol[k], complex(0, w*v))
 	}
-	return y
 }
 
 // ACResult holds one frequency point.
@@ -199,14 +198,21 @@ func (r *ACResult) Volt(ckt *circuit.Circuit, node string) complex128 {
 // and capacitances) that AC pays on each invocation; the per-frequency
 // assembly and factorization are unchanged, so the phasors are
 // bit-identical to a fresh AC call at the same operating point.
+//
+// The solver owns one matrix, LU and solution buffer that every Solve
+// call reuses, so an ACSolver is not safe for concurrent use.
 type ACSolver struct {
 	e  *Engine
 	st *acStamps
+	y  *linalg.Complex
+	lu linalg.LUComplex
+	x  []complex128
 }
 
 // PrepareAC linearizes the circuit at op once, for repeated Solve calls.
 func (e *Engine) PrepareAC(op *OPResult) *ACSolver {
-	return &ACSolver{e: e, st: e.compileAC(op)}
+	return &ACSolver{e: e, st: e.compileAC(op),
+		y: linalg.NewComplex(e.size), x: make([]complex128, e.size)}
 }
 
 // Solve runs the compiled linearization over the given frequencies (Hz).
@@ -214,15 +220,14 @@ func (s *ACSolver) Solve(freqs []float64) ([]*ACResult, error) {
 	e := s.e
 	out := make([]*ACResult, 0, len(freqs))
 	for _, f := range freqs {
-		y := s.st.assemble(2 * math.Pi * f)
-		lu, err := linalg.FactorComplex(y)
-		if err != nil {
+		s.st.assemble(2*math.Pi*f, s.y)
+		if err := s.lu.Factor(s.y); err != nil {
 			return nil, fmt.Errorf("sim: AC matrix singular at %g Hz: %w", f, err)
 		}
-		x := lu.Solve(s.st.rhs)
+		s.lu.SolveInto(s.x, s.st.rhs)
 		r := &ACResult{Freq: f, V: make([]complex128, e.Ckt.NumNodes())}
 		for i := 1; i < e.Ckt.NumNodes(); i++ {
-			r.V[i] = x[e.nodeUnknown(i)]
+			r.V[i] = s.x[e.nodeUnknown(i)]
 		}
 		out = append(out, r)
 	}

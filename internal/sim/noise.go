@@ -78,23 +78,24 @@ func (e *Engine) Noise(op *OPResult, out string, freqs []float64) ([]NoisePoint,
 	st := e.compileAC(op)
 	sources := e.noiseSources(op)
 
+	// One matrix, transpose, LU and right-hand side serve every frequency.
+	y, yt := linalg.NewComplex(e.size), linalg.NewComplex(e.size)
+	var lu linalg.LUComplex
+	rhs, z := make([]complex128, e.size), make([]complex128, e.size)
+	rhs[outIdx] = 1
+
 	points := make([]NoisePoint, 0, len(freqs))
 	for _, f := range freqs {
-		y := st.assemble(2 * math.Pi * f)
-		// Transpose in place into a new matrix.
-		yt := linalg.NewComplex(y.N)
+		st.assemble(2*math.Pi*f, y)
 		for i := 0; i < y.N; i++ {
 			for j := 0; j < y.N; j++ {
 				yt.Set(i, j, y.At(j, i))
 			}
 		}
-		lu, err := linalg.FactorComplex(yt)
-		if err != nil {
+		if err := lu.Factor(yt); err != nil {
 			return nil, fmt.Errorf("sim: noise adjoint singular at %g Hz: %w", f, err)
 		}
-		rhs := make([]complex128, y.N)
-		rhs[outIdx] = 1
-		z := lu.Solve(rhs)
+		lu.SolveInto(z, rhs)
 
 		pt := NoisePoint{Freq: f, BySource: map[string]float64{}}
 		for _, s := range sources {

@@ -227,29 +227,41 @@ func (e *Engine) stampDC(x []float64, gmin, srcScale, tNow float64, j *linalg.Re
 	}
 }
 
-// newtonSolve runs damped Newton at a fixed gmin/source scale.
-func (e *Engine) newtonSolve(x []float64, gmin, srcScale float64, opts *OPOptions) (int, error) {
-	return e.newtonSolveAt(x, gmin, srcScale, -1, nil, opts)
+// newton is the Newton workspace: the Jacobian, residual, update and LU
+// storage of one analysis, shared by every gmin rung, source step and
+// time step it runs, so the solver allocates nothing per iteration.
+type newton struct {
+	e     *Engine
+	j     *linalg.Real
+	f, dx []float64
+	lu    linalg.LUReal
 }
 
-// newtonSolveAt optionally adds extra linear stamps (transient companions)
+func (e *Engine) newNewton() *newton {
+	return &newton{e: e, j: linalg.NewReal(e.size), f: make([]float64, e.size), dx: make([]float64, e.size)}
+}
+
+// solve runs damped Newton at a fixed gmin/source scale.
+func (nw *newton) solve(x []float64, gmin, srcScale float64, opts *OPOptions) (int, error) {
+	return nw.solveAt(x, gmin, srcScale, -1, nil, opts)
+}
+
+// solveAt optionally adds extra linear stamps (transient companions)
 // through the extra callback.
-func (e *Engine) newtonSolveAt(x []float64, gmin, srcScale, tNow float64, extra func(x []float64, j *linalg.Real, f []float64), opts *OPOptions) (int, error) {
-	j := linalg.NewReal(e.size)
-	f := make([]float64, e.size)
+func (nw *newton) solveAt(x []float64, gmin, srcScale, tNow float64, extra func(x []float64, j *linalg.Real, f []float64), opts *OPOptions) (int, error) {
+	j, f, dx := nw.j, nw.f, nw.dx
 	for iter := 1; iter <= opts.MaxIter; iter++ {
-		e.stampDC(x, gmin, srcScale, tNow, j, f)
+		nw.e.stampDC(x, gmin, srcScale, tNow, j, f)
 		if extra != nil {
 			extra(x, j, f)
 		}
-		lu, err := linalg.FactorReal(j)
-		if err != nil {
+		if err := nw.lu.Factor(j); err != nil {
 			return iter, fmt.Errorf("sim: singular Jacobian at gmin=%.3g iter=%d: %w", gmin, iter, err)
 		}
 		for i := range f {
 			f[i] = -f[i]
 		}
-		dx := lu.Solve(f)
+		nw.lu.SolveInto(dx, f)
 		var maxDx float64
 		for i := range dx {
 			d := dx[i]
@@ -280,44 +292,35 @@ func (e *Engine) OP(opts OPOptions) (*OPResult, error) {
 		}
 	}
 
+	nw := e.newNewton()
 	totalIter := 0
 	// Gmin continuation: sweep gmin down in decades, warm-starting each
-	// solve from the previous one.
-	converged := false
+	// solve from the previous one. A failed rung falls back to source
+	// stepping from scratch.
 	for gmin := opts.GminStart; ; gmin /= 10 {
 		if gmin < opts.GminEnd {
 			gmin = opts.GminEnd
 		}
-		it, err := e.newtonSolve(x, gmin, 1.0, &opts)
+		it, err := nw.solve(x, gmin, 1.0, &opts)
 		totalIter += it
 		if err != nil {
-			if gmin == opts.GminEnd {
-				// Fall back to source stepping from scratch.
-				return e.opSourceStepping(opts)
-			}
-			// Retry the failed rung after re-seeding below is pointless;
-			// tighten by moving to source stepping immediately.
-			return e.opSourceStepping(opts)
+			return e.opSourceStepping(nw, opts)
 		}
 		if gmin == opts.GminEnd {
-			converged = true
 			break
 		}
 	}
-	if !converged {
-		return nil, fmt.Errorf("sim: DC analysis failed")
-	}
-	e.polish(x, &opts, &totalIter)
+	nw.polish(x, &opts, &totalIter)
 	return e.finishOP(x, totalIter), nil
 }
 
 // polish runs a final Newton pass with gmin removed entirely, so the
 // reported solution carries no continuation bias. Failure (a circuit that
 // genuinely needs gmin, e.g. a floating node) keeps the last good point.
-func (e *Engine) polish(x []float64, opts *OPOptions, totalIter *int) {
+func (nw *newton) polish(x []float64, opts *OPOptions, totalIter *int) {
 	backup := make([]float64, len(x))
 	copy(backup, x)
-	it, err := e.newtonSolve(x, 0, 1.0, opts)
+	it, err := nw.solve(x, 0, 1.0, opts)
 	*totalIter += it
 	if err != nil {
 		copy(x, backup)
@@ -325,17 +328,17 @@ func (e *Engine) polish(x []float64, opts *OPOptions, totalIter *int) {
 }
 
 // opSourceStepping ramps all independent sources from 0 to full value.
-func (e *Engine) opSourceStepping(opts OPOptions) (*OPResult, error) {
+func (e *Engine) opSourceStepping(nw *newton, opts OPOptions) (*OPResult, error) {
 	x := make([]float64, e.size)
 	total := 0
 	for _, scale := range []float64{0.05, 0.1, 0.2, 0.3, 0.45, 0.6, 0.75, 0.9, 1.0} {
-		it, err := e.newtonSolve(x, 1e-9, scale, &opts)
+		it, err := nw.solve(x, 1e-9, scale, &opts)
 		total += it
 		if err != nil {
 			return nil, fmt.Errorf("sim: source stepping failed at scale %.2f: %w", scale, err)
 		}
 	}
-	e.polish(x, &opts, &total)
+	nw.polish(x, &opts, &total)
 	return e.finishOP(x, total), nil
 }
 

@@ -329,6 +329,52 @@ func TestTranRCStep(t *testing.T) {
 	}
 }
 
+// TestTranUntilIsPrefix pins the early-stop seam: a run stopped by done
+// is a bit-exact prefix of the full Tran, ending at the step where done
+// first returned true, and a nil done runs to tstop.
+func TestTranUntilIsPrefix(t *testing.T) {
+	tech := techno.Default060()
+	c, seeds := fiveTransistorOTA(tech)
+	for _, v := range c.VSources() {
+		if v.Name == "inp" {
+			v.Pulse = &circuit.Pulse{V1: 1.6, V2: 1.7, Delay: 2e-9, Rise: 1e-10}
+		}
+	}
+	e := NewEngine(c, techno.TempNominal)
+	const tstop, h = 4e-8, 1e-10
+	full, err := e.Tran(tstop, h, OPOptions{NodeSet: seeds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(full.T) != 401 {
+		t.Fatalf("full run has %d points, want 401", len(full.T))
+	}
+	calls := 0
+	part, err := e.TranUntil(tstop, h, OPOptions{NodeSet: seeds}, func(r *TranResult) bool {
+		calls++
+		if len(r.T) != calls+1 {
+			t.Fatalf("done call %d saw %d points", calls, len(r.T))
+		}
+		return calls == 100
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(part.T) != 101 {
+		t.Fatalf("stopped run has %d points, want 101", len(part.T))
+	}
+	for k := range part.T {
+		if part.T[k] != full.T[k] {
+			t.Fatalf("T[%d] = %g, full run %g", k, part.T[k], full.T[k])
+		}
+		for i, v := range part.V[k] {
+			if math.Float64bits(v) != math.Float64bits(full.V[k][i]) {
+				t.Fatalf("V[%d][%d] = %x, full run %x", k, i, math.Float64bits(v), math.Float64bits(full.V[k][i]))
+			}
+		}
+	}
+}
+
 func TestTranPulseShape(t *testing.T) {
 	p := &circuit.Pulse{V1: 0, V2: 2, Delay: 1e-9, Rise: 1e-9, Width: 3e-9, Fall: 1e-9, Period: 10e-9}
 	cases := []struct{ t, v float64 }{

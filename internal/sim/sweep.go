@@ -25,6 +25,7 @@ func (e *Engine) DCSweep(srcName string, values []float64, opts OPOptions) ([]*O
 	defer func() { src.DC = orig }()
 
 	out := make([]*OPResult, 0, len(values))
+	nw := e.newNewton()
 	var x []float64
 	for i, val := range values {
 		src.DC = val
@@ -40,7 +41,7 @@ func (e *Engine) DCSweep(srcName string, values []float64, opts OPOptions) ([]*O
 		}
 		// Warm start: a plain Newton from the previous point; fall back
 		// to the full continuation if the step was too large.
-		it, err := e.newtonSolve(x, opts.GminEnd, 1.0, &opts)
+		it, err := nw.solve(x, opts.GminEnd, 1.0, &opts)
 		if err != nil {
 			r, err2 := e.OP(opts)
 			if err2 != nil {
@@ -50,8 +51,7 @@ func (e *Engine) DCSweep(srcName string, values []float64, opts OPOptions) ([]*O
 			x = e.packSolution(r)
 			continue
 		}
-		_ = it
-		e.polish(x, &opts, &it)
+		nw.polish(x, &opts, &it)
 		out = append(out, e.finishOP(x, it))
 	}
 	return out, nil

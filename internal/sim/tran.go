@@ -69,6 +69,14 @@ type capState struct {
 // for slewing and settling measurements while keeping the Newton loop
 // linear in the capacitances.
 func (e *Engine) Tran(tstop, h float64, opts OPOptions) (*TranResult, error) {
+	return e.TranUntil(tstop, h, opts, nil)
+}
+
+// TranUntil is Tran with an early stop: after each committed time step
+// done sees the waveform so far, and the run ends there when it returns
+// true. A nil done runs to tstop. Every step computed is the same as in
+// the full run, so the result is a prefix of Tran's.
+func (e *Engine) TranUntil(tstop, h float64, opts OPOptions, done func(*TranResult) bool) (*TranResult, error) {
 	if h <= 0 || tstop <= 0 {
 		return nil, fmt.Errorf("sim: transient needs positive tstop and step, got %g, %g", tstop, h)
 	}
@@ -81,11 +89,12 @@ func (e *Engine) Tran(tstop, h float64, opts OPOptions) (*TranResult, error) {
 			x[e.nodeUnknown(i)] = v
 		}
 	}
+	nw := e.newNewton()
 	for gmin := opts.GminStart; ; gmin /= 10 {
 		if gmin < opts.GminEnd {
 			gmin = opts.GminEnd
 		}
-		if _, err := e.newtonSolveAt(x, gmin, 1.0, 0, nil, &opts); err != nil {
+		if _, err := nw.solveAt(x, gmin, 1.0, 0, nil, &opts); err != nil {
 			return nil, fmt.Errorf("sim: transient initial condition: %w", err)
 		}
 		if gmin == opts.GminEnd {
@@ -106,6 +115,29 @@ func (e *Engine) Tran(tstop, h float64, opts OPOptions) (*TranResult, error) {
 
 	// Companion capacitor states, refreshed per step for MOS caps.
 	caps := e.collectCaps(x)
+	extra := func(xc []float64, j *linalg.Real, f []float64) {
+		for i := range caps {
+			cs := &caps[i]
+			geq := 2 * cs.c / h
+			ieq := geq*cs.vPrev + cs.iPrev
+			v := capVolt(xc, cs)
+			icap := geq*v - ieq
+			if cs.a >= 0 {
+				f[cs.a] += icap
+				j.Add(cs.a, cs.a, geq)
+				if cs.b >= 0 {
+					j.Add(cs.a, cs.b, -geq)
+				}
+			}
+			if cs.b >= 0 {
+				f[cs.b] -= icap
+				j.Add(cs.b, cs.b, geq)
+				if cs.a >= 0 {
+					j.Add(cs.b, cs.a, -geq)
+				}
+			}
+		}
+	}
 
 	nSteps := int(math.Ceil(tstop / h))
 	for k := 1; k <= nSteps; k++ {
@@ -116,31 +148,7 @@ func (e *Engine) Tran(tstop, h float64, opts OPOptions) (*TranResult, error) {
 		for i := range caps {
 			caps[i].vPrev = capVolt(x, &caps[i])
 		}
-
-		extra := func(xc []float64, j *linalg.Real, f []float64) {
-			for i := range caps {
-				cs := &caps[i]
-				geq := 2 * cs.c / h
-				ieq := geq*cs.vPrev + cs.iPrev
-				v := capVolt(xc, cs)
-				icap := geq*v - ieq
-				if cs.a >= 0 {
-					f[cs.a] += icap
-					j.Add(cs.a, cs.a, geq)
-					if cs.b >= 0 {
-						j.Add(cs.a, cs.b, -geq)
-					}
-				}
-				if cs.b >= 0 {
-					f[cs.b] -= icap
-					j.Add(cs.b, cs.b, geq)
-					if cs.a >= 0 {
-						j.Add(cs.b, cs.a, -geq)
-					}
-				}
-			}
-		}
-		if _, err := e.newtonSolveAt(x, opts.GminEnd, 1.0, t, extra, &opts); err != nil {
+		if _, err := nw.solveAt(x, opts.GminEnd, 1.0, t, extra, &opts); err != nil {
 			return nil, fmt.Errorf("sim: transient step %d (t=%.4g s): %w", k, t, err)
 		}
 		// Commit capacitor states.
@@ -151,6 +159,9 @@ func (e *Engine) Tran(tstop, h float64, opts OPOptions) (*TranResult, error) {
 			cs.iPrev = geq*v - (geq*cs.vPrev + cs.iPrev)
 		}
 		record(t)
+		if done != nil && done(res) {
+			break
+		}
 	}
 	return res, nil
 }
@@ -197,8 +208,7 @@ func (e *Engine) refreshMOSCaps(caps []capState, x []float64) {
 			vg := voltsAt(x, e.unknownOf(t.G))
 			vs := voltsAt(x, e.unknownOf(t.S))
 			vb := voltsAt(x, e.unknownOf(t.B))
-			op := t.Dev.Eval(vg, vd, vs, vb, e.Temp)
-			cset := t.Dev.Caps(op, e.Temp)
+			cset := t.Dev.CapsAt(vg, vd, vs, vb, e.Temp)
 			vals := [5]float64{cset.CGS, cset.CGD, cset.CGB, cset.CDB, cset.CSB}
 			for _, v := range vals {
 				caps[idx].c = v
