@@ -311,7 +311,8 @@ func BenchmarkCornerSweep(b *testing.B) {
 // internal/core/differential_test.go).
 
 // BenchmarkModelCardEval: one full device-model evaluation — the drain
-// current plus six extra core solves for the numerical conductances.
+// current and its analytic conductances in one pass, plus the region
+// and threshold bookkeeping.
 func BenchmarkModelCardEval(b *testing.B) {
 	tech := techno.Default060()
 	m := device.MOS{Card: &tech.N, W: 50e-6, L: 1e-6}
@@ -322,8 +323,8 @@ func BenchmarkModelCardEval(b *testing.B) {
 	b.ReportMetric(op.ID*1e3, "id_mA")
 }
 
-// BenchmarkModelCardEvalID: the ID-only evaluation the DC solver's
-// Jacobian builder uses (1 core solve instead of 7).
+// BenchmarkModelCardEvalID: the ID-only evaluation, without the
+// partials the DC solver's Jacobian takes from EvalIDGrad.
 func BenchmarkModelCardEvalID(b *testing.B) {
 	tech := techno.Default060()
 	m := device.MOS{Card: &tech.N, W: 50e-6, L: 1e-6}

@@ -62,3 +62,10 @@ go test -race -run '^$' -fuzz FuzzBatchCanonicalKey -fuzztime 5s ./internal/serv
 # Fuzz the run-ledger decoder: arbitrary bytes must never panic the
 # reader, and valid records must round-trip byte-identically.
 go test -race -run '^$' -fuzz FuzzLedgerDecode -fuzztime 5s ./internal/obs
+
+# Fuzz the device model's analytic derivatives: arbitrary finite terminal
+# voltages within ±2·VDD on both model cards must give finite outputs, a
+# drain current bit-equal to EvalID, and partials that agree with central
+# differences of EvalID away from the |vds| kink. The model holds no
+# shared state, so this lane runs without -race for more executions.
+go test -run '^$' -fuzz FuzzDeviceGrad -fuzztime 5s ./internal/device

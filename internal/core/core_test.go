@@ -389,8 +389,19 @@ func TestOptionsValidation(t *testing.T) {
 		swappedICM.ICMLow, swappedICM.ICMHigh = swappedICM.ICMHigh, swappedICM.ICMLow
 		infCL := plan.DefaultSpec()
 		infCL.CL = math.Inf(1)
+		// Ranges outside the supply envelope.
+		outBelowGround := plan.DefaultSpec()
+		outBelowGround.OutLow = -0.1
+		outAboveVDD := plan.DefaultSpec()
+		outAboveVDD.OutHigh = outAboveVDD.VDD + 0.1
+		icmAboveVDD := plan.DefaultSpec()
+		icmAboveVDD.ICMHigh = icmAboveVDD.VDD + 0.1
+		icmBelowNegVDD := plan.DefaultSpec()
+		icmBelowNegVDD.ICMLow = -icmBelowNegVDD.VDD - 0.1
 		for tag, spec := range map[string]sizing.OTASpec{
 			"nan-gbw": nanGBW, "swapped-icm": swappedICM, "inf-cl": infCL,
+			"out-low-below-ground": outBelowGround, "out-high-above-vdd": outAboveVDD,
+			"icm-high-above-vdd": icmAboveVDD, "icm-low-below-minus-vdd": icmBelowNegVDD,
 		} {
 			var se *sizing.SpecError
 			if _, err := Synthesize(tech, spec, Options{Topology: name, Case: 1}); !errors.As(err, &se) {

@@ -110,15 +110,15 @@ type OP struct {
 	Swapped bool // true if drain and source were exchanged internally
 }
 
-const (
-	// dv is the step for numerical derivatives. The model is smooth, so
-	// central differences at 1 µV give ~9 significant digits.
-	dv = 1e-6
-)
-
 // softPlus is a smooth max(x,0): 0.5*(x+sqrt(x²+eps)).
 func softPlus(x, eps float64) float64 {
 	return 0.5 * (x + math.Sqrt(x*x+eps))
+}
+
+// softPlusGrad is softPlus and its derivative.
+func softPlusGrad(x, eps float64) (v, dv float64) {
+	r := math.Sqrt(x*x + eps)
+	return 0.5 * (x + r), 0.5 * (1 + x/r)
 }
 
 // lnOnePlusExp computes ln(1+e^x) without overflow.
@@ -132,6 +132,21 @@ func lnOnePlusExp(x float64) float64 {
 	return math.Log1p(math.Exp(x))
 }
 
+// lnOnePlusExpGrad is lnOnePlusExp and the derivative of each branch as
+// coded: 1 above 40, e^x below −40, and the sigmoid e^x/(1+e^x) between,
+// which reuses the branch's exponential.
+func lnOnePlusExpGrad(x float64) (v, dv float64) {
+	if x > 40 {
+		return x, 1
+	}
+	if x < -40 {
+		e := math.Exp(x)
+		return e, e
+	}
+	e := math.Exp(x)
+	return math.Log1p(e), e / (1 + e)
+}
+
 // pinchOff returns the EKV pinch-off voltage VP and slope factor n for a
 // gate-bulk voltage vgb (NMOS convention).
 func pinchOff(c *techno.MOSCard, vgb float64) (vp, n float64) {
@@ -143,6 +158,19 @@ func pinchOff(c *techno.MOSCard, vgb float64) (vp, n float64) {
 	vp = vgp - c.Phi - c.Gamma*(math.Sqrt(vgp+half*half)-half)
 	n = 1 + c.Gamma/(2*math.Sqrt(vp+c.Phi+1e-3))
 	return vp, n
+}
+
+// pinchOffGrad is pinchOff and the derivatives dvp/dvgb and dn/dvgb.
+func pinchOffGrad(c *techno.MOSCard, vgb float64) (vp, n, dvp, dn float64) {
+	vgp, dvgp := softPlusGrad(vgb-c.VT0+c.Phi+c.Gamma*math.Sqrt(c.Phi), 1e-6)
+	half := c.Gamma / 2
+	sq := math.Sqrt(vgp + half*half)
+	vp = vgp - c.Phi - c.Gamma*(sq-half)
+	sn := math.Sqrt(vp + c.Phi + 1e-3)
+	n = 1 + c.Gamma/(2*sn)
+	dvp = dvgp * (1 - c.Gamma/(2*sq))
+	dn = -c.Gamma / (4 * sn * sn * sn) * dvp
+	return vp, n, dvp, dn
 }
 
 // idsCore evaluates the raw drain current for NMOS-convention bulk-referred
@@ -172,6 +200,55 @@ func (m *MOS) idsCore(vgb, vdb, vsb, vt float64) float64 {
 	return id
 }
 
+// idsGrad is idsCore together with ∂I_D/∂(vgb, vdb, vsb), from one pass.
+// I_D comes from the same operations in the same order as idsCore, so
+// the two are bit-equal; the partials differentiate the function as
+// coded, branch by branch, so they are exact where idsCore is smooth.
+func (m *MOS) idsGrad(vgb, vdb, vsb, vt float64) (id, dg, dd, ds float64) {
+	c := m.Card
+	vp, n, dvp, dn := pinchOffGrad(c, vgb)
+	uf := (vp - vsb) / (2 * vt)
+	ur := (vp - vdb) / (2 * vt)
+	lf, sf := lnOnePlusExpGrad(uf)
+	lr, sr := lnOnePlusExpGrad(ur)
+	iff := lf * lf
+	irr := lr * lr
+
+	beta := c.KP * m.W * m.M() / m.Leff()
+	veff := 2 * vt * lf
+	den := 1 + c.Theta*veff
+	beta /= den
+
+	a := 2 * n * beta * vt * vt
+	id0 := a * (iff - irr)
+
+	va := c.VAL * m.Leff()
+	clm := 1 + math.Abs(vdb-vsb)/va
+	id = id0 * clm
+
+	// With id0 = a·(lf² − lr²), a ∝ n/den and den = 1 + θ·2vt·lf:
+	// ∂id0 = id0·(∂n/n − θ·2vt·∂lf/den) + 2a·(lf·∂lf − lr·∂lr),
+	// where ∂lf = sf·∂uf and ∂lr = sr·∂ur. Only the gate moves n, only
+	// the source moves uf, only the drain moves ur, and vp moves both.
+	k := 1 / (2 * vt)
+	mob := c.Theta * 2 * vt / den
+	dlf, dlr := sf*k, sr*k // ∂lf/∂vp and ∂lr/∂vp
+	g0 := id0*(dn/n-mob*dlf*dvp) + 2*a*(lf*dlf-lr*dlr)*dvp
+	d0 := 2 * a * lr * dlr
+	s0 := -dlf * (2*a*lf - id0*mob)
+
+	// Channel-length modulation: ∂|vdb − vsb| is ±1 (0 on the kink,
+	// where id0 vanishes anyway).
+	var dclm float64
+	switch {
+	case vdb > vsb:
+		dclm = 1 / va
+	case vdb < vsb:
+		dclm = -1 / va
+	}
+	return id, g0 * clm, d0*clm + id0*dclm, s0*clm - id0*dclm
+}
+
 // Eval computes the operating point for terminal voltages given against an
 // arbitrary common reference (usually ground). Works for both NMOS and
 // PMOS; PMOS voltages are internally mirrored.
@@ -181,18 +258,11 @@ func (m *MOS) Eval(vg, vd, vs, vb, temp float64) OP {
 	sign := c.VTSign()
 	vgb, vdb, vsb, swapped := m.bulkReferred(vg, vd, vs, vb)
 
-	id := m.idsCore(vgb, vdb, vsb, vt)
-
-	// Numerical conductances (central differences). The model is smooth
-	// by construction, making this both simple and dependable.
-	gm := (m.idsCore(vgb+dv, vdb, vsb, vt) - m.idsCore(vgb-dv, vdb, vsb, vt)) / (2 * dv)
-	gds := (m.idsCore(vgb, vdb+dv, vsb, vt) - m.idsCore(vgb, vdb-dv, vsb, vt)) / (2 * dv)
-	// gmb = ∂ID/∂VB with gate, drain, source fixed: raising the bulk by dv
-	// lowers vgb, vdb and vsb together by dv (NMOS convention), which
-	// reduces the reverse body bias and raises the current.
-	idUp := m.idsCore(vgb-dv, vdb-dv, vsb-dv, vt)
-	idDn := m.idsCore(vgb+dv, vdb+dv, vsb+dv, vt)
-	gmb := (idUp - idDn) / (2 * dv)
+	id, gm, gds, gs := m.idsGrad(vgb, vdb, vsb, vt)
+	// gmb = ∂ID/∂VB with gate, drain, source fixed: raising the bulk
+	// lowers vgb, vdb and vsb together (NMOS convention), which reduces
+	// the reverse body bias and raises the current.
+	gmb := -(gm + gds + gs)
 	if gmb < 0 {
 		gmb = 0
 	}
@@ -236,10 +306,7 @@ func (m *MOS) Eval(vg, vd, vs, vb, temp float64) OP {
 
 // EvalID computes only the drain current of Eval — the identical
 // arithmetic path (sign mirroring, drain/source swap, idsCore) without
-// the six extra idsCore calls that back the numerical conductances. The
-// DC Newton solver builds its own Jacobian by differencing this value,
-// so it needs nothing else; keeping the code path shared with Eval is
-// what makes the result bit-identical by construction.
+// the conductances.
 func (m *MOS) EvalID(vg, vd, vs, vb, temp float64) float64 {
 	c := m.Card
 	vt := techno.ThermalVoltage(temp)
@@ -250,6 +317,27 @@ func (m *MOS) EvalID(vg, vd, vs, vb, temp float64) float64 {
 		id = -id
 	}
 	return id
+}
+
+// EvalIDGrad is EvalID together with the drain current's partial
+// derivatives with respect to the gate, drain, source and bulk voltages
+// — the DC Newton Jacobian and the AC linearization of the device. The
+// current is bit-equal to EvalID's. PMOS mirroring multiplies both the
+// voltages and the current by −1, so it cancels in the partials; a
+// drain/source swap negates the current and exchanges the drain and
+// source partials. The model depends only on voltage differences, so
+// the bulk partial is minus the sum of the other three.
+func (m *MOS) EvalIDGrad(vg, vd, vs, vb, temp float64) (id, dg, dd, ds, db float64) {
+	c := m.Card
+	vt := techno.ThermalVoltage(temp)
+	vgb, vdb, vsb, swapped := m.bulkReferred(vg, vd, vs, vb)
+
+	id, dg, dd, ds = m.idsGrad(vgb, vdb, vsb, vt)
+	id *= c.VTSign()
+	if swapped {
+		id, dg, dd, ds = -id, -dg, -ds, -dd
+	}
+	return id, dg, dd, ds, -(dg + dd + ds)
 }
 
 // CapsAt is Caps at the operating point Eval would return for these
@@ -313,7 +401,8 @@ func (m *MOS) GmAt(veff, vsb, temp float64) float64 {
 	if veff < 0.1 {
 		vdb = vsb + 0.1 + 8*vt
 	}
-	return (m.idsCore(vgb+dv, vdb, vsb, vt) - m.idsCore(vgb-dv, vdb, vsb, vt)) / (2 * dv)
+	_, gm, _, _ := m.idsGrad(vgb, vdb, vsb, vt)
+	return gm
 }
 
 // SizeForCurrent returns the gate width that carries current id in

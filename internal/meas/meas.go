@@ -38,6 +38,9 @@ type Report struct {
 	Perf sizing.Performance
 	// OffsetIterations counts DC solves spent nulling the output.
 	OffsetIterations int
+	// ACSolves counts the differential AC solves spent on the DC gain,
+	// the GBW and the phase margin.
+	ACSolves int
 }
 
 // Measure runs the full suite.
@@ -55,7 +58,7 @@ func Measure(b Bench) (*Report, error) {
 	rep.Perf.Power = op.SupplyCurrent(b.SupplyName) * supplyVoltage(ckt, b.SupplyName)
 
 	// 2. Differential AC: gain, GBW, phase margin.
-	if err := b.acGainSweep(eng, ckt, op, &rep.Perf); err != nil {
+	if rep.ACSolves, err = b.acGainSweep(eng, ckt, op, &rep.Perf); err != nil {
 		return nil, fmt.Errorf("meas: AC: %w", err)
 	}
 
@@ -170,71 +173,25 @@ func (b *Bench) findOffset() (vid float64, op *sim.OPResult, eng *sim.Engine, ck
 }
 
 // acGainSweep measures DC gain, GBW and phase margin from the
-// differential AC response.
-func (b *Bench) acGainSweep(eng *sim.Engine, ckt *circuit.Circuit, op *sim.OPResult, p *sizing.Performance) error {
-	// One linearization at the bias point serves the DC-gain probe, the
-	// bracketing sweep and every bisection step below.
+// differential AC response and returns the AC solves it spent.
+func (b *Bench) acGainSweep(eng *sim.Engine, ckt *circuit.Circuit, op *sim.OPResult, p *sizing.Performance) (int, error) {
+	// One linearization at the bias point serves the DC-gain probe and
+	// the unity-crossing search.
 	solver := eng.PrepareAC(op)
-	gainAt := func(freq float64) (complex128, error) {
-		res, err := solver.Solve([]float64{freq})
-		if err != nil {
-			return 0, err
-		}
-		return res[0].Volt(ckt, b.Out), nil
-	}
-	h0, err := gainAt(1.0)
+	res, err := solver.Solve([]float64{1.0})
 	if err != nil {
-		return err
+		return 1, err
 	}
-	p.DCGainDB = sizing.DB(cmplx.Abs(h0))
+	p.DCGainDB = sizing.DB(cmplx.Abs(res[0].Volt(ckt, b.Out)))
 
-	// Bracket the unity crossing on a log sweep, then bisect.
-	freqs := sim.LogSpace(1e3, 3e9, 130)
-	res, err := solver.Solve(freqs)
+	// A tolerance of 0 refines the crossing to a few ulps of ln f.
+	c, err := solver.UnityCrossing(b.Out, 1e3, 3e9, 130, 0)
 	if err != nil {
-		return err
+		return 1 + c.Solves, err
 	}
-	if g0 := cmplx.Abs(res[0].Volt(ckt, b.Out)); g0 < 1 {
-		return fmt.Errorf("gain already below unity at %g Hz (|H| = %g)", freqs[0], g0)
-	}
-	var fLo, fHi float64
-	for i := 1; i < len(res); i++ {
-		if cmplx.Abs(res[i].Volt(ckt, b.Out)) < 1 {
-			fLo, fHi = freqs[i-1], freqs[i]
-			break
-		}
-	}
-	if fHi == 0 {
-		return fmt.Errorf("no unity crossing below 3 GHz (|H(3G)| = %g)",
-			cmplx.Abs(res[len(res)-1].Volt(ckt, b.Out)))
-	}
-	for i := 0; i < 50; i++ {
-		mid := math.Sqrt(fLo * fHi)
-		h, err := gainAt(mid)
-		if err != nil {
-			return err
-		}
-		if cmplx.Abs(h) >= 1 {
-			fLo = mid
-		} else {
-			fHi = mid
-		}
-	}
-	fu := math.Sqrt(fLo * fHi)
-	p.GBW = fu
-	hU, err := gainAt(fu)
-	if err != nil {
-		return err
-	}
-	// Differential drive is +0.5/−0.5 so phase(H) at DC is 0° for the
-	// non-inverting path; PM = 180° + phase at unity.
-	ph := cmplx.Phase(hU) * 180 / math.Pi
-	pm := 180 + ph
-	for pm > 180 {
-		pm -= 360
-	}
-	p.PhaseDeg = pm
-	return nil
+	p.GBW = c.Freq
+	p.PhaseDeg = sizing.PhaseMargin(c.H)
+	return 1 + c.Solves, nil
 }
 
 // cmrr measures Adm/Acm at 1 kHz.

@@ -1,11 +1,13 @@
 package meas
 
 import (
+	"errors"
 	"math"
 	"sync"
 	"testing"
 
 	"loas/internal/circuit"
+	"loas/internal/sim"
 	"loas/internal/sizing"
 	"loas/internal/techno"
 )
@@ -108,8 +110,43 @@ func TestMeasureOffsetTiny(t *testing.T) {
 	if rep4.OffsetIterations != 21 {
 		t.Fatalf("case-4 offset search took %d DC solves, want 21", rep4.OffsetIterations)
 	}
+	// The differential AC solves: the 1 Hz gain probe, the 130-point
+	// grid up to the first point below unity, and the refinement. A
+	// full-grid sweep or a fixed bisection would be about 180.
+	if rep4.ACSolves != 108 {
+		t.Fatalf("case-4 gain/GBW/PM took %d AC solves, want 108", rep4.ACSolves)
+	}
 	if math.Abs(rep4.Perf.Offset) > 2e-3 {
 		t.Fatalf("case-4 offset %.3f mV too large for a symmetric OTA", rep4.Perf.Offset*1e3)
+	}
+}
+
+// TestLowGBWCrossing loads the case-4 design until its unity crossing
+// falls below 1 MHz, where the sizing evaluation's grid starts: the
+// sizing evaluation must still find the crossing the harness measures,
+// on the same testbench at the same bias.
+func TestLowGBWCrossing(t *testing.T) {
+	tech := techno.Default060()
+	ps, _ := sizing.Case(4)
+	d4, err := sizing.SizeFoldedCascode(tech, sizing.Default65MHz(), ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := benchFor(d4)
+	b.CL = 300e-12
+	rep, err := Measure(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Perf.GBW >= 1e6 {
+		t.Fatalf("GBW %.4g Hz: the load does not push the crossing below 1 MHz", rep.Perf.GBW)
+	}
+	gbw, _, err := sizing.EvalGBWPM(tech, b.openLoop(rep.Perf.Offset, true, false), b.Out, b.nodeSet())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rel := math.Abs(gbw-rep.Perf.GBW) / rep.Perf.GBW; rel > 1e-6 {
+		t.Fatalf("sizing evaluation %.9g Hz vs harness %.9g Hz (rel %.3g)", gbw, rep.Perf.GBW, rel)
 	}
 }
 
@@ -178,7 +215,7 @@ func TestMeasureRejectsBrokenBench(t *testing.T) {
 		SupplyName: "dd", CL: 1e-12, VicmDC: 1, VoutMid: 1,
 		Temp: tech.Temp,
 	}
-	if _, err := Measure(b); err == nil {
-		t.Fatal("gainless circuit should fail the unity-crossing search")
+	if _, err := Measure(b); !errors.Is(err, sim.ErrNoCrossing) {
+		t.Fatalf("gainless circuit: err %v, want the unity-crossing search's ErrNoCrossing", err)
 	}
 }

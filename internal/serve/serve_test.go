@@ -215,20 +215,32 @@ func TestBadRequests(t *testing.T) {
 	}
 	// Specs that Validate rejects, on every topology. JSON has no NaN,
 	// so a NaN GBW fails in the decoder; a swapped input common-mode
-	// range decodes fine and must fail in specFor.
+	// range and ranges outside the supply decode fine and must fail in
+	// specFor.
 	for _, name := range sizing.Topologies() {
 		plan, err := sizing.Lookup(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		spec := plan.DefaultSpec()
-		spec.ICMLow, spec.ICMHigh = spec.ICMHigh, spec.ICMLow
-		js, err := json.Marshal(spec)
-		if err != nil {
-			t.Fatal(err)
+		swapped := plan.DefaultSpec()
+		swapped.ICMLow, swapped.ICMHigh = swapped.ICMHigh, swapped.ICMLow
+		// Ranges outside the supply envelope.
+		outBelowGround := plan.DefaultSpec()
+		outBelowGround.OutLow = -0.1
+		outAboveVDD := plan.DefaultSpec()
+		outAboveVDD.OutHigh = outAboveVDD.VDD + 0.1
+		icmAboveVDD := plan.DefaultSpec()
+		icmAboveVDD.ICMHigh = icmAboveVDD.VDD + 0.1
+		icmBelowNegVDD := plan.DefaultSpec()
+		icmBelowNegVDD.ICMLow = -icmBelowNegVDD.VDD - 0.1
+		for _, spec := range []sizing.OTASpec{swapped, outBelowGround, outAboveVDD, icmAboveVDD, icmBelowNegVDD} {
+			js, err := json.Marshal(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cases = append(cases, badRequest{"/v1/synthesize", fmt.Sprintf(`{"topology":%q,"spec":%s}`, name, js)})
 		}
 		cases = append(cases,
-			badRequest{"/v1/synthesize", fmt.Sprintf(`{"topology":%q,"spec":%s}`, name, js)},
 			badRequest{"/v1/synthesize", fmt.Sprintf(`{"topology":%q,"spec":{"gbw":NaN}}`, name)})
 	}
 	for _, tc := range cases {

@@ -123,7 +123,7 @@ func (e *Engine) compileAC(op *OPResult) *acStamps {
 			vg := voltAtNode(op, ckt, t.G)
 			vs := voltAtNode(op, ckt, t.S)
 			vb := voltAtNode(op, ckt, t.B)
-			_, dd, dg, ds, db := mosPartials(t, vd, vg, vs, vb, e.Temp)
+			_, dg, dd, ds, db := t.Dev.EvalIDGrad(vg, vd, vs, vb, e.Temp)
 			// Drain current linearization: i_d = dd·vd + dg·vg + ds·vs + db·vb,
 			// entering the drain and leaving the source.
 			for _, tm := range []struct {
@@ -194,10 +194,10 @@ func (r *ACResult) Volt(ckt *circuit.Circuit, node string) complex128 {
 
 // ACSolver is a compiled small-signal linearization at one operating
 // point. Compiling once and solving many frequency points skips the
-// per-call re-linearization (every MOSFET's central-difference partials
-// and capacitances) that AC pays on each invocation; the per-frequency
-// assembly and factorization are unchanged, so the phasors are
-// bit-identical to a fresh AC call at the same operating point.
+// per-call re-linearization (every MOSFET's partials and capacitances)
+// that AC pays on each invocation; the per-frequency assembly and
+// factorization are unchanged, so the phasors are bit-identical to a
+// fresh AC call at the same operating point.
 //
 // The solver owns one matrix, LU and solution buffer that every Solve
 // call reuses, so an ACSolver is not safe for concurrent use.
@@ -220,11 +220,9 @@ func (s *ACSolver) Solve(freqs []float64) ([]*ACResult, error) {
 	e := s.e
 	out := make([]*ACResult, 0, len(freqs))
 	for _, f := range freqs {
-		s.st.assemble(2*math.Pi*f, s.y)
-		if err := s.lu.Factor(s.y); err != nil {
-			return nil, fmt.Errorf("sim: AC matrix singular at %g Hz: %w", f, err)
+		if err := s.solveAt(f); err != nil {
+			return nil, err
 		}
-		s.lu.SolveInto(s.x, s.st.rhs)
 		r := &ACResult{Freq: f, V: make([]complex128, e.Ckt.NumNodes())}
 		for i := 1; i < e.Ckt.NumNodes(); i++ {
 			r.V[i] = s.x[e.nodeUnknown(i)]
@@ -232,6 +230,16 @@ func (s *ACSolver) Solve(freqs []float64) ([]*ACResult, error) {
 		out = append(out, r)
 	}
 	return out, nil
+}
+
+// solveAt leaves the solution at frequency f (Hz) in s.x.
+func (s *ACSolver) solveAt(f float64) error {
+	s.st.assemble(2*math.Pi*f, s.y)
+	if err := s.lu.Factor(s.y); err != nil {
+		return fmt.Errorf("sim: AC matrix singular at %g Hz: %w", f, err)
+	}
+	s.lu.SolveInto(s.x, s.st.rhs)
+	return nil
 }
 
 // AC runs a small-signal analysis at the operating point over the given
@@ -249,7 +257,12 @@ func LogSpace(f1, f2 float64, n int) []float64 {
 	out := make([]float64, n)
 	l1, l2 := math.Log10(f1), math.Log10(f2)
 	for i := range out {
-		out[i] = math.Pow(10, l1+(l2-l1)*float64(i)/float64(n-1))
+		out[i] = logPoint(l1, l2, i, n)
 	}
 	return out
+}
+
+// logPoint is point i of the n-point grid from 10^l1 to 10^l2.
+func logPoint(l1, l2 float64, i, n int) float64 {
+	return math.Pow(10, l1+(l2-l1)*float64(i)/float64(n-1))
 }

@@ -69,3 +69,24 @@ func TestOPAllocsIndependentOfIterations(t *testing.T) {
 			al, rl.Iterations, as, rs.Iterations)
 	}
 }
+
+// TestUnityCrossingAllocs: the crossing search reads the output phasor
+// straight from the solver's buffer, so a search that finds its crossing
+// allocates nothing.
+func TestUnityCrossingAllocs(t *testing.T) {
+	tech := techno.Default060()
+	c, seeds := fiveTransistorOTA(tech)
+	e := NewEngine(c, techno.TempNominal)
+	op, err := e.OP(OPOptions{NodeSet: seeds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := e.PrepareAC(op)
+	if a := testing.AllocsPerRun(5, func() {
+		if _, err := s.UnityCrossing("out", 1e3, 3e9, 130, 0); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Fatalf("UnityCrossing allocates %v per call, want 0", a)
+	}
+}

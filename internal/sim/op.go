@@ -70,24 +70,6 @@ func (r *OPResult) SupplyCurrent(name string) float64 {
 	return math.Abs(r.BranchI[name])
 }
 
-// mosPartials evaluates the drain current (into the drain terminal) and
-// its partial derivatives with respect to the four terminal voltages,
-// using central differences on the full device model. This sidesteps all
-// polarity/swap bookkeeping: whatever the model does, the Jacobian matches
-// it exactly.
-func mosPartials(m *circuit.MOSFET, vd, vg, vs, vb, temp float64) (id, dd, dg, ds, db float64) {
-	const h = 1e-6
-	f := func(vd, vg, vs, vb float64) float64 {
-		return m.Dev.EvalID(vg, vd, vs, vb, temp)
-	}
-	id = f(vd, vg, vs, vb)
-	dd = (f(vd+h, vg, vs, vb) - f(vd-h, vg, vs, vb)) / (2 * h)
-	dg = (f(vd, vg+h, vs, vb) - f(vd, vg-h, vs, vb)) / (2 * h)
-	ds = (f(vd, vg, vs+h, vb) - f(vd, vg, vs-h, vb)) / (2 * h)
-	db = (f(vd, vg, vs, vb+h) - f(vd, vg, vs, vb-h)) / (2 * h)
-	return id, dd, dg, ds, db
-}
-
 // stampDC assembles the Jacobian J and residual f at candidate solution x
 // for a given gmin and source scale (0..1). The residual convention is
 // f(x) = 0 at solution; Newton solves J·Δ = −f.
@@ -198,7 +180,7 @@ func (e *Engine) stampDC(x []float64, gmin, srcScale, tNow float64, j *linalg.Re
 		case *circuit.MOSFET:
 			d, g, s, bk := e.unknownOf(t.D), e.unknownOf(t.G), e.unknownOf(t.S), e.unknownOf(t.B)
 			vd, vg, vs, vb := voltsAt(x, d), voltsAt(x, g), voltsAt(x, s), voltsAt(x, bk)
-			id, dd, dg, ds, db := mosPartials(t, vd, vg, vs, vb, e.Temp)
+			id, dg, dd, ds, db := t.Dev.EvalIDGrad(vg, vd, vs, vb, e.Temp)
 			// Current id enters the drain node and leaves the source node.
 			terms := [4]struct {
 				u int

@@ -42,81 +42,66 @@ func (d *FoldedCascode) AssumedNetlist(name string) *circuit.Circuit {
 // models the verification uses, which is the paper's stated accuracy
 // recipe taken to its conclusion.
 func (p *plan) simulateGBWPM() (gbw, pm float64, err error) {
-	d := p.d
+	ckt, ns := p.d.gbwBench(p.spec)
+	return EvalGBWPM(p.tech, ckt, NetOut, ns)
+}
+
+// gbwBench is the sizing evaluation's testbench: the assumed netlist
+// with differential AC drive at the spec's input common mode (no lower
+// than 0.3 V) and the spec's load, and its DC node set.
+func (d *FoldedCascode) gbwBench(spec OTASpec) (*circuit.Circuit, map[string]float64) {
 	ckt := d.AssumedNetlist("sizing-eval")
-	vicm := 0.5 * (p.spec.ICMLow + p.spec.ICMHigh)
+	vicm := 0.5 * (spec.ICMLow + spec.ICMHigh)
 	if vicm < 0.3 {
 		vicm = 0.3
 	}
 	ckt.Add(
 		&circuit.VSource{Name: "szp", Pos: NetInP, Neg: circuit.Ground, DC: vicm, ACMag: 0.5},
 		&circuit.VSource{Name: "szn", Pos: NetInN, Neg: circuit.Ground, DC: vicm, ACMag: 0.5, ACPhase: 180},
-		&circuit.Capacitor{Name: "szload", A: NetOut, B: circuit.Ground, C: p.spec.CL},
+		&circuit.Capacitor{Name: "szload", A: NetOut, B: circuit.Ground, C: spec.CL},
 	)
 	ns := d.NodeSet()
 	ns[NetInP], ns[NetInN] = vicm, vicm
-	return EvalGBWPM(p.tech, ckt, NetOut, ns)
+	return ckt, ns
 }
 
 // EvalGBWPM measures the unity-gain frequency and phase margin of a
 // prepared differential testbench circuit (AC drive and load already
 // attached). Shared by every design plan's evaluation step.
 func EvalGBWPM(tech *techno.Tech, ckt *circuit.Circuit, out string, nodeset map[string]float64) (gbw, pm float64, err error) {
+	c, err := evalCrossing(tech, ckt, out, nodeset)
+	if err != nil {
+		return 0, 0, err
+	}
+	return c.Freq, PhaseMargin(c.H), nil
+}
+
+// evalCrossing is EvalGBWPM's unity crossing, with its AC solve count.
+func evalCrossing(tech *techno.Tech, ckt *circuit.Circuit, out string, nodeset map[string]float64) (sim.Crossing, error) {
 	eng := sim.NewEngine(ckt, tech.Temp)
 	op, err := eng.OP(sim.OPOptions{NodeSet: nodeset})
 	if err != nil {
-		return 0, 0, fmt.Errorf("sizing: evaluation OP: %w", err)
+		return sim.Crossing{}, fmt.Errorf("sizing: evaluation OP: %w", err)
 	}
+	// The crossing is refined to the 40-point grid's step in ln f halved
+	// 25 times, about 6e-9.
+	tol := math.Log(3e9/1e6) / 39 / (1 << 25)
+	c, err := eng.PrepareAC(op).UnityCrossing(out, 1e6, 3e9, 40, tol)
+	if err != nil {
+		return c, fmt.Errorf("sizing: %w", err)
+	}
+	return c, nil
+}
 
-	// One linearization serves the sweep and every bisection probe: the
-	// ~26 gainAt calls below used to re-derive the MOSFET partials each
-	// time, which profiling showed dominating the sizing evaluation.
-	solver := eng.PrepareAC(op)
-	gainAt := func(f float64) (complex128, error) {
-		res, err := solver.Solve([]float64{f})
-		if err != nil {
-			return 0, err
-		}
-		return res[0].Volt(ckt, out), nil
-	}
-	freqs := sim.LogSpace(1e6, 3e9, 40)
-	res, err := solver.Solve(freqs)
-	if err != nil {
-		return 0, 0, err
-	}
-	var fLo, fHi float64
-	for i := 1; i < len(res); i++ {
-		if cmplx.Abs(res[i].Volt(ckt, out)) < 1 {
-			fLo, fHi = freqs[i-1], freqs[i]
-			break
-		}
-	}
-	if fHi == 0 {
-		return 0, 0, fmt.Errorf("sizing: no unity crossing below 3 GHz")
-	}
-	for i := 0; i < 25; i++ {
-		mid := math.Sqrt(fLo * fHi)
-		h, err := gainAt(mid)
-		if err != nil {
-			return 0, 0, err
-		}
-		if cmplx.Abs(h) >= 1 {
-			fLo = mid
-		} else {
-			fHi = mid
-		}
-	}
-	fu := math.Sqrt(fLo * fHi)
-	h, err := gainAt(fu)
-	if err != nil {
-		return 0, 0, err
-	}
-	phase := cmplx.Phase(h) * 180 / math.Pi
-	pm = 180 + phase
+// PhaseMargin is 180° plus the phase of the loop response h at the unity
+// crossing, in (−180°, 180°]. Differential drive is +0.5/−0.5, so the
+// phase at DC is 0° on the non-inverting path.
+func PhaseMargin(h complex128) float64 {
+	pm := 180 + cmplx.Phase(h)*180/math.Pi
 	for pm > 180 {
 		pm -= 360
 	}
-	return fu, pm, nil
+	return pm
 }
 
 // BiasFor recomputes the four bias voltages on an alternate technology

@@ -273,3 +273,32 @@ func TestDBHelper(t *testing.T) {
 		t.Fatal("DB should use magnitude")
 	}
 }
+
+// TestEvalCrossingSolves pins the AC solves of one sizing evaluation of
+// the case-4 first-pass design: the 40-point grid up to the first point
+// below unity plus the refinement. The whole grid plus 25 bisections
+// would spend 66.
+func TestEvalCrossingSolves(t *testing.T) {
+	tech := techno.Default060()
+	ps, _ := Case(4)
+	d, err := SizeFoldedCascode(tech, Default65MHz(), ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckt, ns := d.gbwBench(d.Spec)
+	c, err := evalCrossing(tech, ckt, NetOut, ns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Solves != 29 {
+		t.Fatalf("sizing evaluation took %d AC solves, want 29", c.Solves)
+	}
+	gbw, pm, err := EvalGBWPM(tech, ckt, NetOut, ns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gbw != c.Freq || gbw != d.Predicted.GBW || pm != d.Predicted.PhaseDeg {
+		t.Fatalf("EvalGBWPM %g Hz, %g°; crossing %g Hz; design predicts %g Hz, %g°",
+			gbw, pm, c.Freq, d.Predicted.GBW, d.Predicted.PhaseDeg)
+	}
+}

@@ -49,10 +49,12 @@ func (e *SpecError) Error() string {
 }
 
 // Validate rejects a spec no plan can size meaningfully: every field
-// must be finite, VDD, GBW, PM and CL must be positive, and both the
-// input common-mode and the output range must be non-empty (low below
-// high). The low ends may be negative (the paper's ICM range starts at
-// −0.55 V); whether the ranges fit the supply is not checked here.
+// must be finite, VDD, GBW, PM and CL must be positive, both the input
+// common-mode and the output range must be non-empty (low below high),
+// and both must fit the supply envelope. The output swings between the
+// rails, [0, VDD]. The input common mode may not rise above VDD, but may
+// sit below ground (the paper's ICM range starts at −0.55 V), down to
+// −VDD.
 func (s OTASpec) Validate() error {
 	fields := []struct {
 		name     string
@@ -78,6 +80,17 @@ func (s OTASpec) Validate() error {
 	if s.OutLow >= s.OutHigh {
 		return &SpecError{Field: "out_low", Value: s.OutLow,
 			Reason: fmt.Sprintf("must be below out_high = %g", s.OutHigh)}
+	}
+	above := fmt.Sprintf("is above vdd = %g", s.VDD)
+	switch {
+	case s.OutLow < 0:
+		return &SpecError{Field: "out_low", Value: s.OutLow, Reason: "is below ground"}
+	case s.OutHigh > s.VDD:
+		return &SpecError{Field: "out_high", Value: s.OutHigh, Reason: above}
+	case s.ICMHigh > s.VDD:
+		return &SpecError{Field: "icm_high", Value: s.ICMHigh, Reason: above}
+	case s.ICMLow < -s.VDD:
+		return &SpecError{Field: "icm_low", Value: s.ICMLow, Reason: fmt.Sprintf("is below −vdd = %g", -s.VDD)}
 	}
 	return nil
 }
