@@ -27,11 +27,12 @@ go test -race -count=1 -run 'TestSessionIncremental' ./internal/layout/cairo
 go test -count=1 -run 'Golden' ./internal/repro ./internal/serve
 
 # Allocation lane: the solver workspaces (reused LU storage, the
-# per-call Newton workspace, the AC solver's buffers) are gated by
-# allocation counts, which are deterministic where timings are not. The
-# race detector instruments allocations, so these tests build only
-# without -race and the whole-suite race run below skips them.
-go test -count=1 -run 'Allocs' ./internal/linalg ./internal/sim
+# per-call Newton workspace, the AC solver's buffers) and the engine's
+# element index table are gated by allocation counts, which are
+# deterministic where timings are not. The race detector instruments
+# allocations, so these tests build only without -race and the
+# whole-suite race run below skips them.
+go test -count=1 -run 'Allocs' ./internal/linalg ./internal/sim ./internal/sizing
 
 # Repeat lane: the metrics registry is process-wide, so a test that
 # assumes it starts from zero passes once and fails on the second run.
@@ -69,3 +70,10 @@ go test -race -run '^$' -fuzz FuzzLedgerDecode -fuzztime 5s ./internal/obs
 # differences of EvalID away from the |vds| kink. The model holds no
 # shared state, so this lane runs without -race for more executions.
 go test -run '^$' -fuzz FuzzDeviceGrad -fuzztime 5s ./internal/device
+
+# Fuzz the zero-skipping LU factorizations: matrices stamped from
+# arbitrary bytes through Add, as the simulator stamps them, must
+# factor and solve bit-identically to the dense reference elimination.
+# The seeds are the oracle test's MNA-shaped matrices. linalg holds no
+# shared state, so this lane runs without -race for more executions.
+go test -run '^$' -fuzz FuzzFactorMatchesDense -fuzztime 5s ./internal/linalg

@@ -176,6 +176,20 @@ func pinchOffGrad(c *techno.MOSCard, vgb float64) (vp, n, dvp, dn float64) {
 // idsCore evaluates the raw drain current for NMOS-convention bulk-referred
 // terminal voltages. vt is the thermal voltage.
 func (m *MOS) idsCore(vgb, vdb, vsb, vt float64) float64 {
+	return m.ids(m.biasTerms(vgb, vdb, vsb, vt))
+}
+
+// idsTerms are the factors of the drain current that do not depend on
+// the gate width, so a width search evaluates them once per bias.
+type idsTerms struct {
+	n, vt float64
+	inv   float64 // forward minus reverse inversion, lf² − lr²
+	den   float64 // mobility degradation, 1 + θ·veff
+	clm   float64 // channel-length modulation, 1 + |vds|/VA
+}
+
+// biasTerms is the width-independent part of idsCore at one bias.
+func (m *MOS) biasTerms(vgb, vdb, vsb, vt float64) idsTerms {
 	c := m.Card
 	vp, n := pinchOff(c, vgb)
 	uf := (vp - vsb) / (2 * vt)
@@ -185,18 +199,23 @@ func (m *MOS) idsCore(vgb, vdb, vsb, vt float64) float64 {
 	iff := lf * lf
 	irr := lr * lr
 
-	beta := c.KP * m.W * m.M() / m.Leff()
 	// Mobility degradation keyed on the forward inversion voltage, the
 	// continuous analogue of Veff = VGS − VTH.
 	veff := 2 * vt * lf
-	beta /= 1 + c.Theta*veff
-
-	id := 2 * n * beta * vt * vt * (iff - irr)
 
 	// Channel-length modulation as a constant Early voltage per unit
 	// length, applied to the magnitude so the model stays symmetric.
 	va := c.VAL * m.Leff()
-	id *= 1 + math.Abs(vdb-vsb)/va
+	return idsTerms{n: n, vt: vt, inv: iff - irr, den: 1 + c.Theta*veff, clm: 1 + math.Abs(vdb-vsb)/va}
+}
+
+// ids is the drain current from its width-independent terms, by the
+// same operations in the same order as idsGrad.
+func (m *MOS) ids(t idsTerms) float64 {
+	beta := m.Card.KP * m.W * m.M() / m.Leff()
+	beta /= t.den
+	id := 2 * t.n * beta * t.vt * t.vt * t.inv
+	id *= t.clm
 	return id
 }
 
@@ -377,32 +396,30 @@ func threshold(c *techno.MOSCard, vsb float64) float64 {
 }
 
 // IDSat returns the drain current in saturation for a given overdrive,
-// solving nothing: it evaluates the model at VDS = Veff + 5·n·vt, VBS as
-// given. Used by the sizing tool to stay on the exact simulator model.
+// solving nothing: it evaluates the model at VDS = max(Veff, 0.1 V) +
+// 8·vt, VBS as given. Used by the sizing tool to stay on the exact
+// simulator model.
 func (m *MOS) IDSat(veff, vsb, temp float64) float64 {
-	c := m.Card
-	vt := techno.ThermalVoltage(temp)
-	vthEff := threshold(c, vsb)
-	vgb := veff + vthEff + vsb
-	vdb := vsb + veff + 8*vt // comfortably saturated
-	if veff < 0.1 {
-		vdb = vsb + 0.1 + 8*vt
-	}
-	return m.idsCore(vgb, vdb, vsb, vt)
+	return m.ids(m.biasTerms(satBias(m.Card, veff, vsb, temp)))
 }
 
 // GmAt returns gm at the same synthetic saturation bias used by IDSat.
 func (m *MOS) GmAt(veff, vsb, temp float64) float64 {
-	c := m.Card
-	vt := techno.ThermalVoltage(temp)
+	_, gm, _, _ := m.idsGrad(satBias(m.Card, veff, vsb, temp))
+	return gm
+}
+
+// satBias is the bulk-referred bias IDSat and GmAt evaluate at, with
+// the thermal voltage.
+func satBias(c *techno.MOSCard, veff, vsb, temp float64) (vgb, vdb, vsbOut, vt float64) {
+	vt = techno.ThermalVoltage(temp)
 	vthEff := threshold(c, vsb)
-	vgb := veff + vthEff + vsb
-	vdb := vsb + veff + 8*vt
+	vgb = veff + vthEff + vsb
+	vdb = vsb + veff + 8*vt // comfortably saturated
 	if veff < 0.1 {
 		vdb = vsb + 0.1 + 8*vt
 	}
-	_, gm, _, _ := m.idsGrad(vgb, vdb, vsb, vt)
-	return gm
+	return vgb, vdb, vsb, vt
 }
 
 // SizeForCurrent returns the gate width that carries current id in
@@ -413,9 +430,13 @@ func SizeForCurrent(card *techno.MOSCard, l, veff, vsb, id, temp, wmin, wmax flo
 	if id <= 0 {
 		return 0, fmt.Errorf("device: target current must be positive, got %g", id)
 	}
+	// Only beta depends on the width: the rest of the model is
+	// evaluated once, and each probe is IDSat's arithmetic bit for bit.
+	m := MOS{Card: card, L: l}
+	terms := m.biasTerms(satBias(card, veff, vsb, temp))
 	probe := func(w float64) float64 {
-		m := MOS{Card: card, W: w, L: l}
-		return m.IDSat(veff, vsb, temp) - id
+		m.W = w
+		return m.ids(terms) - id
 	}
 	lo, hi := wmin, wmax
 	flo, fhi := probe(lo), probe(hi)
@@ -426,15 +447,8 @@ func SizeForCurrent(card *techno.MOSCard, l, veff, vsb, id, temp, wmin, wmax flo
 		return 0, fmt.Errorf("device: W=%g m insufficient for ID=%g A at Veff=%g V (max %g A)",
 			hi, id, veff, fhi+id)
 	}
-	for i := 0; i < 80; i++ {
-		mid := 0.5 * (lo + hi)
-		if probe(mid) < 0 {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return 0.5 * (lo + hi), nil
+	w, _ := Bisect(lo, hi, 80, func(w float64) bool { return probe(w) < 0 })
+	return w, nil
 }
 
 // SizeForGm returns the gate width giving transconductance gm in
@@ -455,15 +469,8 @@ func SizeForGm(card *techno.MOSCard, l, veff, vsb, gm, temp, wmin, wmax float64)
 	if probe(hi) < 0 {
 		return 0, fmt.Errorf("device: W=%g m insufficient for gm=%g S at Veff=%g V", hi, gm, veff)
 	}
-	for i := 0; i < 80; i++ {
-		mid := 0.5 * (lo + hi)
-		if probe(mid) < 0 {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return 0.5 * (lo + hi), nil
+	w, _ := Bisect(lo, hi, 80, func(w float64) bool { return probe(w) < 0 })
+	return w, nil
 }
 
 // VGSForCurrent returns the gate-source voltage (NMOS convention; PMOS
@@ -484,13 +491,32 @@ func (m *MOS) VGSForCurrent(id, vds, vsb, temp float64) (float64, error) {
 	if probe(hi) < 0 {
 		return 0, fmt.Errorf("device: cannot reach ID=%g A with VGS ≤ %g V (W=%g L=%g)", id, hi, m.W, m.L)
 	}
-	for i := 0; i < 80; i++ {
+	vgs, _ := Bisect(lo, hi, 80, func(vgs float64) bool { return probe(vgs) < 0 })
+	return vgs, nil
+}
+
+// Bisect narrows [lo, hi] onto the point where below switches from true
+// (the target lies above x) to false, in at most steps halvings: each
+// probes the midpoint and moves lo there when below holds, hi otherwise.
+// It returns the final midpoint and the number of probes made.
+//
+// It stops early, returning mid, once mid == lo or mid == hi: the bracket
+// has collapsed onto adjacent floats. Every later step of the full loop
+// is then a fixed point: probing mid again either keeps the bracket or
+// sets the other end to mid, after which lo == hi == mid, and either way
+// the final 0.5·(lo+hi) is exactly mid. The result is bit-identical to
+// running all steps.
+func Bisect(lo, hi float64, steps int, below func(x float64) bool) (x float64, probes int) {
+	for ; probes < steps; probes++ {
 		mid := 0.5 * (lo + hi)
-		if probe(mid) < 0 {
+		if mid == lo || mid == hi {
+			return mid, probes
+		}
+		if below(mid) {
 			lo = mid
 		} else {
 			hi = mid
 		}
 	}
-	return 0.5 * (lo + hi), nil
+	return 0.5 * (lo + hi), probes
 }

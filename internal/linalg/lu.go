@@ -55,7 +55,8 @@ func (m *Real) Clone() *Real {
 type LUReal struct {
 	n    int
 	lu   []float64
-	piv  []int
+	piv  []int32 // row permutation
+	nz   []int32 // scratch: the nonzero columns of the current pivot row
 	sign int
 }
 
@@ -71,15 +72,25 @@ func FactorReal(m *Real) (*LUReal, error) {
 // Factor computes the LU factorization of m into f (m is not modified),
 // reusing f's storage when it is large enough. After an error f holds no
 // usable factorization until the next successful Factor.
+//
+// MNA matrices are mostly exact zeros, so the elimination skips them: a
+// row whose pivot-column entry is 0 gets the multiplier 0/pivot and no
+// update, and the other rows are updated only in the columns where the
+// pivot row is nonzero. For every matrix without a −0 entry, which is
+// every matrix built by Zero and Add, the result is bit-identical to
+// dense elimination: a subtraction yields −0 only from a −0 operand, so
+// the eliminated entries never hold −0 either, and for such an x and a
+// finite multiplier l, x − l·0 = x exactly. A non-finite l (l·0 is NaN)
+// updates every column, as dense elimination does.
 func (f *LUReal) Factor(m *Real) error {
 	n := m.N
 	f.n, f.sign = n, 1
 	f.lu = resize(f.lu, n*n)
-	f.piv = resize(f.piv, n)
+	f.piv, f.nz = permScratch(f.piv, n)
 	copy(f.lu, m.A)
 	lu := f.lu
 	for i := range f.piv {
-		f.piv[i] = i
+		f.piv[i] = int32(i)
 	}
 	for k := 0; k < n; k++ {
 		// Partial pivot: largest |a[i][k]| for i ≥ k.
@@ -101,16 +112,35 @@ func (f *LUReal) Factor(m *Real) error {
 			f.piv[k], f.piv[p] = f.piv[p], f.piv[k]
 			f.sign = -f.sign
 		}
-		pivot := lu[k*n+k]
+		rowK := lu[k*n : k*n+n]
+		nz := f.nz
+		c := 0
+		for j := k + 1; j < n; j++ {
+			nz[c] = int32(j)
+			if rowK[j] != 0 {
+				c++
+			}
+		}
+		nz = nz[:c]
+		pivot := rowK[k]
+		zero := 0 / pivot
 		for i := k + 1; i < n; i++ {
-			l := lu[i*n+k] / pivot
+			l := zero
+			if a := lu[i*n+k]; a != 0 {
+				l = a / pivot
+			}
 			lu[i*n+k] = l
 			if l == 0 {
 				continue
 			}
 			rowI := lu[i*n : i*n+n]
-			rowK := lu[k*n : k*n+n]
-			for j := k + 1; j < n; j++ {
+			if l-l != 0 {
+				for j := k + 1; j < n; j++ {
+					rowI[j] -= l * rowK[j]
+				}
+				continue
+			}
+			for _, j := range nz {
 				rowI[j] -= l * rowK[j]
 			}
 		}
@@ -152,6 +182,17 @@ func (f *LUReal) SolveInto(x, b []float64) {
 	}
 }
 
+// permScratch returns the row permutation and the nonzero-column
+// scratch of an n×n factorization as the two halves of one allocation,
+// reusing piv's when it is large enough.
+func permScratch(piv []int32, n int) (perm, nz []int32) {
+	s := piv[:cap(piv)]
+	if len(s) < 2*n {
+		s = make([]int32, 2*n)
+	}
+	return s[:n], s[n : 2*n : 2*n]
+}
+
 // resize returns s with length n, reallocating only when its capacity is
 // too small. The contents are left for the caller to overwrite.
 func resize[T any](s []T, n int) []T {
@@ -190,7 +231,8 @@ func (m *Complex) Zero() {
 type LUComplex struct {
 	n   int
 	lu  []complex128
-	piv []int
+	piv []int32 // row permutation
+	nz  []int32 // scratch: the nonzero columns of the current pivot row
 }
 
 // FactorComplex computes the LU factorization of m (m is not modified).
@@ -203,21 +245,30 @@ func FactorComplex(m *Complex) (*LUComplex, error) {
 }
 
 // Factor computes the LU factorization of m into f (m is not modified),
-// reusing f's storage as LUReal.Factor does.
+// reusing f's storage as LUReal.Factor does. It skips exact zeros as
+// LUReal.Factor does, with the same bit-identity argument applied to the
+// real and imaginary parts separately; a zero cannot win the pivot
+// search either, so it is not measured. The multipliers are divided by
+// Smith's algorithm exactly as the Go runtime divides complex numbers,
+// with the terms that depend only on the pivot computed once per column.
 func (f *LUComplex) Factor(m *Complex) error {
 	n := m.N
 	f.n = n
 	f.lu = resize(f.lu, n*n)
-	f.piv = resize(f.piv, n)
+	f.piv, f.nz = permScratch(f.piv, n)
 	copy(f.lu, m.A)
 	lu := f.lu
 	for i := range f.piv {
-		f.piv[i] = i
+		f.piv[i] = int32(i)
 	}
 	for k := 0; k < n; k++ {
 		p, maxAbs := k, cmplx.Abs(lu[k*n+k])
 		for i := k + 1; i < n; i++ {
-			if a := cmplx.Abs(lu[i*n+k]); a > maxAbs {
+			v := lu[i*n+k]
+			if v == 0 {
+				continue
+			}
+			if a := cmplx.Abs(v); a > maxAbs {
 				p, maxAbs = i, a
 			}
 		}
@@ -232,21 +283,80 @@ func (f *LUComplex) Factor(m *Complex) error {
 			}
 			f.piv[k], f.piv[p] = f.piv[p], f.piv[k]
 		}
-		pivot := lu[k*n+k]
+		rowK := lu[k*n : k*n+n]
+		nz := f.nz
+		c := 0
+		for j := k + 1; j < n; j++ {
+			nz[c] = int32(j)
+			if rowK[j] != 0 {
+				c++
+			}
+		}
+		nz = nz[:c]
+		pivot := rowK[k]
+		div := newSmithDiv(pivot)
+		zero := div.of(0)
 		for i := k + 1; i < n; i++ {
-			l := lu[i*n+k] / pivot
+			l := zero
+			if a := lu[i*n+k]; a != 0 {
+				l = div.of(a)
+			}
 			lu[i*n+k] = l
 			if l == 0 {
 				continue
 			}
 			rowI := lu[i*n : i*n+n]
-			rowK := lu[k*n : k*n+n]
-			for j := k + 1; j < n; j++ {
+			if real(l)-real(l) != 0 || imag(l)-imag(l) != 0 {
+				for j := k + 1; j < n; j++ {
+					rowI[j] -= l * rowK[j]
+				}
+				continue
+			}
+			for _, j := range nz {
 				rowI[j] -= l * rowK[j]
 			}
 		}
 	}
 	return nil
+}
+
+// smithDiv divides by a fixed complex number m the way runtime.complex128div
+// does (Smith's algorithm, Commun. ACM 5(8): 435, 1962), with the ratio and
+// denominator that depend only on m computed once.
+type smithDiv struct {
+	m            complex128
+	reBig        bool // |re m| ≥ |im m|: the branch the runtime takes
+	ratio, denom float64
+}
+
+func newSmithDiv(m complex128) smithDiv {
+	d := smithDiv{m: m, reBig: math.Abs(real(m)) >= math.Abs(imag(m))}
+	if d.reBig {
+		d.ratio = imag(m) / real(m)
+		d.denom = real(m) + d.ratio*imag(m)
+	} else {
+		d.ratio = real(m) / imag(m)
+		d.denom = imag(m) + d.ratio*real(m)
+	}
+	return d
+}
+
+// of returns n/m. When both parts come out NaN the runtime corrects the
+// result for infinities and zeros, so that case falls back to its
+// division.
+func (d *smithDiv) of(n complex128) complex128 {
+	var e, f float64
+	if d.reBig {
+		e = (real(n) + imag(n)*d.ratio) / d.denom
+		f = (imag(n) - real(n)*d.ratio) / d.denom
+	} else {
+		e = (real(n)*d.ratio + imag(n)) / d.denom
+		f = (imag(n)*d.ratio - real(n)) / d.denom
+	}
+	if math.IsNaN(e) && math.IsNaN(f) {
+		return n / d.m
+	}
+	return complex(e, f)
 }
 
 // Solve solves A·x = b, returning x as a new slice.

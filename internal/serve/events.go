@@ -181,15 +181,18 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("response writer does not support streaming"))
 		return
 	}
+	// Subscribe before the headers go out: a client sees the response
+	// only once it is subscribed, so it cannot miss the events of a run
+	// it starts after connecting.
+	sub := s.events.subscribe()
+	defer s.events.unsubscribe(sub)
+
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
 	io.WriteString(w, ": loasd run events\n\n")
 	fl.Flush()
-
-	sub := s.events.subscribe()
-	defer s.events.unsubscribe(sub)
 	for {
 		select {
 		case <-r.Context().Done():

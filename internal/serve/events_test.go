@@ -2,9 +2,11 @@ package serve
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -68,6 +70,44 @@ func nextFrame(t *testing.T, frames <-chan sseFrame) sseFrame {
 		t.Fatal("timed out waiting for SSE frame")
 		return sseFrame{}
 	}
+}
+
+// TestEventsSubscribedBeforeResponse: the handler subscribes before it
+// sends the response headers, so once a client's request returns it is
+// already subscribed and cannot miss the run-start of a run it posts
+// next. The handler-level half is deterministic: it counts subscribers
+// at the moment the status line is written.
+func TestEventsSubscribedBeforeResponse(t *testing.T) {
+	s, ts := newStubServer(t, Config{}, &tracingStub{})
+
+	ctx, cancel := context.WithCancel(context.Background())
+	atHeader := -1
+	w := &headerProbe{ResponseRecorder: httptest.NewRecorder(), onHeader: func() {
+		atHeader = s.events.subscribers()
+		cancel() // end the stream once the headers are out
+	}}
+	s.handleEvents(w, httptest.NewRequest(http.MethodGet, "/v1/events", nil).WithContext(ctx))
+	if atHeader != 1 {
+		t.Fatalf("subscribers = %d when the headers were written, want 1", atHeader)
+	}
+
+	_, stop := sseClient(t, ts.URL)
+	defer stop()
+	if n := s.events.subscribers(); n != 1 {
+		t.Fatalf("subscribers = %d once the stream is open, want 1", n)
+	}
+}
+
+// headerProbe is a streaming ResponseWriter that calls onHeader when the
+// status line is written.
+type headerProbe struct {
+	*httptest.ResponseRecorder
+	onHeader func()
+}
+
+func (p *headerProbe) WriteHeader(code int) {
+	p.onHeader()
+	p.ResponseRecorder.WriteHeader(code)
 }
 
 // TestEventsStreamLive: a subscriber connected before a run sees its

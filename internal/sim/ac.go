@@ -76,28 +76,31 @@ func (s *acStamps) addEntry(i, j int, v float64) {
 func (e *Engine) compileAC(op *OPResult) *acStamps {
 	s := &acStamps{e: e, rhs: make([]complex128, e.size)}
 	ckt := e.Ckt
-	for _, el := range ckt.Elements {
+	for i, el := range ckt.Elements {
 		switch t := el.(type) {
 		case *circuit.Resistor:
-			s.addG(e.unknownOf(t.A), e.unknownOf(t.B), 1/t.R)
+			a, b := e.terms2(i)
+			s.addG(a, b, 1/t.R)
 
 		case *circuit.Capacitor:
-			s.addC(e.unknownOf(t.A), e.unknownOf(t.B), t.C)
+			a, b := e.terms2(i)
+			s.addC(a, b, t.C)
 
 		case *circuit.ISource:
 			if t.ACMag != 0 {
 				ph := cmplx.Rect(t.ACMag, t.ACPhase*math.Pi/180)
-				if a := e.unknownOf(t.Pos); a >= 0 {
+				a, b := e.terms2(i)
+				if a >= 0 {
 					s.rhs[a] -= ph // current leaves Pos through the source
 				}
-				if b := e.unknownOf(t.Neg); b >= 0 {
+				if b >= 0 {
 					s.rhs[b] += ph
 				}
 			}
 
 		case *circuit.VSource:
-			br := e.branch[t.Name]
-			a, b := e.unknownOf(t.Pos), e.unknownOf(t.Neg)
+			br := int(e.idx[i].br)
+			a, b := e.terms2(i)
 			s.addEntry(a, br, 1)
 			s.addEntry(b, br, -1)
 			s.addEntry(br, a, 1)
@@ -107,9 +110,8 @@ func (e *Engine) compileAC(op *OPResult) *acStamps {
 			}
 
 		case *circuit.VCVS:
-			br := e.branch[t.Name]
-			a, b := e.unknownOf(t.Pos), e.unknownOf(t.Neg)
-			ca, cb := e.unknownOf(t.CPos), e.unknownOf(t.CNeg)
+			br := int(e.idx[i].br)
+			a, b, ca, cb := e.terms4(i)
 			s.addEntry(a, br, 1)
 			s.addEntry(b, br, -1)
 			s.addEntry(br, a, 1)
@@ -118,11 +120,8 @@ func (e *Engine) compileAC(op *OPResult) *acStamps {
 			s.addEntry(br, cb, t.Gain)
 
 		case *circuit.MOSFET:
-			d, g, srcU, bk := e.unknownOf(t.D), e.unknownOf(t.G), e.unknownOf(t.S), e.unknownOf(t.B)
-			vd := voltAtNode(op, ckt, t.D)
-			vg := voltAtNode(op, ckt, t.G)
-			vs := voltAtNode(op, ckt, t.S)
-			vb := voltAtNode(op, ckt, t.B)
+			d, g, srcU, bk := e.terms4(i)
+			vd, vg, vs, vb := nodeVolt(op.V, d), nodeVolt(op.V, g), nodeVolt(op.V, srcU), nodeVolt(op.V, bk)
 			_, dg, dd, ds, db := t.Dev.EvalIDGrad(vg, vd, vs, vb, e.Temp)
 			// Drain current linearization: i_d = dd·vd + dg·vg + ds·vs + db·vb,
 			// entering the drain and leaving the source.
@@ -152,11 +151,6 @@ func (e *Engine) compileAC(op *OPResult) *acStamps {
 		}
 	}
 	return s
-}
-
-func voltAtNode(op *OPResult, ckt *circuit.Circuit, node string) float64 {
-	i, _ := ckt.NodeIndex(node)
-	return op.V[i]
 }
 
 // assemble builds the complex MNA matrix at angular frequency w into y.

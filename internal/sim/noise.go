@@ -34,19 +34,19 @@ type NoisePoint struct {
 // noiseSources enumerates every generator with its attachment nodes.
 func (e *Engine) noiseSources(op *OPResult) []NoiseSource {
 	var out []NoiseSource
-	for _, el := range e.Ckt.Elements {
+	for i, el := range e.Ckt.Elements {
 		switch t := el.(type) {
 		case *circuit.Resistor:
 			r := t.R
+			a, b := e.terms2(i)
 			out = append(out, NoiseSource{
-				Elem: t.Name, Kind: "thermal",
-				a: e.unknownOf(t.A), b: e.unknownOf(t.B),
+				Elem: t.Name, Kind: "thermal", a: a, b: b,
 				psd: func(float64) float64 { return device.ResistorNoisePSD(r, e.Temp) },
 			})
 		case *circuit.MOSFET:
 			mop := op.MOSOPs[t.Name]
 			dev := &t.Dev
-			a, b := e.unknownOf(t.D), e.unknownOf(t.S)
+			a, _, b, _ := e.terms4(i)
 			out = append(out, NoiseSource{
 				Elem: t.Name, Kind: "thermal", a: a, b: b,
 				psd: func(float64) float64 {

@@ -87,10 +87,10 @@ func (e *Engine) stampDC(x []float64, gmin, srcScale, tNow float64, j *linalg.Re
 		f[i] += gmin * x[i]
 	}
 
-	for _, el := range e.Ckt.Elements {
+	for i, el := range e.Ckt.Elements {
 		switch t := el.(type) {
 		case *circuit.Resistor:
-			a, b := e.unknownOf(t.A), e.unknownOf(t.B)
+			a, b := e.terms2(i)
 			g := 1 / t.R
 			va, vb := voltsAt(x, a), voltsAt(x, b)
 			i := g * (va - vb)
@@ -113,7 +113,7 @@ func (e *Engine) stampDC(x []float64, gmin, srcScale, tNow float64, j *linalg.Re
 			// Open at DC.
 
 		case *circuit.ISource:
-			a, b := e.unknownOf(t.Pos), e.unknownOf(t.Neg)
+			a, b := e.terms2(i)
 			val := t.DC
 			if tNow >= 0 {
 				val = t.Value(tNow)
@@ -127,8 +127,8 @@ func (e *Engine) stampDC(x []float64, gmin, srcScale, tNow float64, j *linalg.Re
 			}
 
 		case *circuit.VSource:
-			br := e.branch[t.Name]
-			a, b := e.unknownOf(t.Pos), e.unknownOf(t.Neg)
+			br := int(e.idx[i].br)
+			a, b := e.terms2(i)
 			// KCL: branch current leaves Pos, enters Neg.
 			if a >= 0 {
 				j.Add(a, br, 1)
@@ -152,9 +152,8 @@ func (e *Engine) stampDC(x []float64, gmin, srcScale, tNow float64, j *linalg.Re
 			f[br] += voltsAt(x, a) - voltsAt(x, b) - srcScale*val
 
 		case *circuit.VCVS:
-			br := e.branch[t.Name]
-			a, b := e.unknownOf(t.Pos), e.unknownOf(t.Neg)
-			ca, cb := e.unknownOf(t.CPos), e.unknownOf(t.CNeg)
+			br := int(e.idx[i].br)
+			a, b, ca, cb := e.terms4(i)
 			if a >= 0 {
 				j.Add(a, br, 1)
 				f[a] += x[br]
@@ -178,7 +177,7 @@ func (e *Engine) stampDC(x []float64, gmin, srcScale, tNow float64, j *linalg.Re
 			f[br] += voltsAt(x, a) - voltsAt(x, b) - t.Gain*(voltsAt(x, ca)-voltsAt(x, cb))
 
 		case *circuit.MOSFET:
-			d, g, s, bk := e.unknownOf(t.D), e.unknownOf(t.G), e.unknownOf(t.S), e.unknownOf(t.B)
+			d, g, s, bk := e.terms4(i)
 			vd, vg, vs, vb := voltsAt(x, d), voltsAt(x, g), voltsAt(x, s), voltsAt(x, bk)
 			id, dg, dd, ds, db := t.Dev.EvalIDGrad(vg, vd, vs, vb, e.Temp)
 			// Current id enters the drain node and leaves the source node.
@@ -335,25 +334,14 @@ func (e *Engine) finishOP(x []float64, iters int) *OPResult {
 	for i := 1; i < e.Ckt.NumNodes(); i++ {
 		r.V[i] = x[e.nodeUnknown(i)]
 	}
-	for name, idx := range e.branch {
-		r.BranchI[name] = x[idx]
-	}
-	for _, m := range e.Ckt.MOSFETs() {
-		vd := r.V[mustIdx(e.Ckt, m.D)]
-		vg := r.V[mustIdx(e.Ckt, m.G)]
-		vs := r.V[mustIdx(e.Ckt, m.S)]
-		vb := r.V[mustIdx(e.Ckt, m.B)]
-		r.MOSOPs[m.Name] = m.Dev.Eval(vg, vd, vs, vb, e.Temp)
+	e.branches(func(name string, br int) { r.BranchI[name] = x[br] })
+	for i, el := range e.Ckt.Elements {
+		if m, ok := el.(*circuit.MOSFET); ok {
+			d, g, s, b := e.terms4(i)
+			r.MOSOPs[m.Name] = m.Dev.Eval(nodeVolt(r.V, g), nodeVolt(r.V, d), nodeVolt(r.V, s), nodeVolt(r.V, b), e.Temp)
+		}
 	}
 	return r
-}
-
-func mustIdx(c *circuit.Circuit, node string) int {
-	i, ok := c.NodeIndex(node)
-	if !ok {
-		panic(fmt.Sprintf("sim: node %q vanished", node))
-	}
-	return i
 }
 
 // KCLResidual recomputes the DC residual vector norm at a solution — used
@@ -363,9 +351,7 @@ func (e *Engine) KCLResidual(r *OPResult) float64 {
 	for i := 1; i < e.Ckt.NumNodes(); i++ {
 		x[e.nodeUnknown(i)] = r.V[i]
 	}
-	for name, idx := range e.branch {
-		x[idx] = r.BranchI[name]
-	}
+	e.branches(func(name string, br int) { x[br] = r.BranchI[name] })
 	j := linalg.NewReal(e.size)
 	f := make([]float64, e.size)
 	e.stampDC(x, 0, 1.0, -1, j, f)

@@ -63,8 +63,6 @@ func (e *Engine) packSolution(r *OPResult) []float64 {
 	for i := 1; i < e.Ckt.NumNodes(); i++ {
 		x[e.nodeUnknown(i)] = r.V[i]
 	}
-	for name, idx := range e.branch {
-		x[idx] = r.BranchI[name]
-	}
+	e.branches(func(name string, br int) { x[br] = r.BranchI[name] })
 	return x
 }

@@ -175,14 +175,15 @@ func capVolt(x []float64, cs *capState) float64 {
 // refreshed every step.
 func (e *Engine) collectCaps(x []float64) []capState {
 	var out []capState
-	for _, el := range e.Ckt.Elements {
+	for i, el := range e.Ckt.Elements {
 		switch t := el.(type) {
 		case *circuit.Capacitor:
-			cs := capState{a: e.unknownOf(t.A), b: e.unknownOf(t.B), c: t.C}
+			a, b := e.terms2(i)
+			cs := capState{a: a, b: b, c: t.C}
 			cs.vPrev = capVolt(x, &cs)
 			out = append(out, cs)
 		case *circuit.MOSFET:
-			d, g, s, b := e.unknownOf(t.D), e.unknownOf(t.G), e.unknownOf(t.S), e.unknownOf(t.B)
+			d, g, s, b := e.terms4(i)
 			pairs := [5][2]int{{g, s}, {g, d}, {g, b}, {d, b}, {s, b}}
 			for _, p := range pairs {
 				cs := capState{a: p[0], b: p[1]}
@@ -199,15 +200,13 @@ func (e *Engine) collectCaps(x []float64) []capState {
 // The cap list layout must match collectCaps.
 func (e *Engine) refreshMOSCaps(caps []capState, x []float64) {
 	idx := 0
-	for _, el := range e.Ckt.Elements {
+	for i, el := range e.Ckt.Elements {
 		switch t := el.(type) {
 		case *circuit.Capacitor:
 			idx++
 		case *circuit.MOSFET:
-			vd := voltsAt(x, e.unknownOf(t.D))
-			vg := voltsAt(x, e.unknownOf(t.G))
-			vs := voltsAt(x, e.unknownOf(t.S))
-			vb := voltsAt(x, e.unknownOf(t.B))
+			d, g, s, b := e.terms4(i)
+			vd, vg, vs, vb := voltsAt(x, d), voltsAt(x, g), voltsAt(x, s), voltsAt(x, b)
 			cset := t.Dev.CapsAt(vg, vd, vs, vb, e.Temp)
 			vals := [5]float64{cset.CGS, cset.CGD, cset.CGB, cset.CDB, cset.CSB}
 			for _, v := range vals {

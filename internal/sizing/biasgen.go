@@ -56,16 +56,10 @@ func sizeForVGS(card *techno.MOSCard, l, vgsTarget, id, temp, wmin, wmax float64
 		if probe(wmax) > 0 {
 			return 0, 0, fmt.Errorf("sizing: bias target %.3f V unreachable at %.3g A", vgsTarget, id)
 		}
-		lo, hi := wmin, wmax
-		for i := 0; i < 60; i++ {
-			mid := 0.5 * (lo + hi)
-			if probe(mid) > 0 {
-				lo = mid
-			} else {
-				hi = mid
-			}
-		}
-		return 0.5 * (lo + hi), l, nil
+		// VGS falls as the width grows, so the target lies above w
+		// while the gate voltage is still too high.
+		w, _ := device.Bisect(wmin, wmax, 60, func(w float64) bool { return probe(w) > 0 })
+		return w, l, nil
 	}
 	return 0, 0, fmt.Errorf("sizing: bias target %.3f V needs an implausibly weak device", vgsTarget)
 }
@@ -139,22 +133,14 @@ func sizeAtBias(card *techno.MOSCard, l, vgs, vds, id, temp, wmin, wmax float64)
 		op := m.Eval(sign*vgs, sign*vds, 0, 0, temp)
 		return sign*op.ID - id
 	}
-	lo, hi := wmin, wmax
-	if probe(lo) > 0 {
-		return lo, nil
+	if probe(wmin) > 0 {
+		return wmin, nil
 	}
-	if probe(hi) < 0 {
+	if probe(wmax) < 0 {
 		return 0, fmt.Errorf("sizing: %g A unreachable at vgs=%.3f vds=%.3f", id, vgs, vds)
 	}
-	for i := 0; i < 60; i++ {
-		mid := 0.5 * (lo + hi)
-		if probe(mid) < 0 {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return 0.5 * (lo + hi), nil
+	w, _ := device.Bisect(wmin, wmax, 60, func(w float64) bool { return probe(w) < 0 })
+	return w, nil
 }
 
 // AddTo wires the generator into a circuit, producing the nets vbn, vc1,

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"loas/internal/circuit"
+	"loas/internal/device"
 	"loas/internal/layout/cairo"
 	"loas/internal/layout/extract"
 	"loas/internal/sim"
@@ -300,5 +301,29 @@ func TestEvalCrossingSolves(t *testing.T) {
 	if gbw != c.Freq || gbw != d.Predicted.GBW || pm != d.Predicted.PhaseDeg {
 		t.Fatalf("EvalGBWPM %g Hz, %g°; crossing %g Hz; design predicts %g Hz, %g°",
 			gbw, pm, c.Freq, d.Predicted.GBW, d.Predicted.PhaseDeg)
+	}
+}
+
+// TestWidthSearchProbes pins the model evaluations of one case-4 width
+// search, MN5's: the bracket collapses onto adjacent floats before the
+// 80 steps run out, and the search stops there with the same width.
+func TestWidthSearchProbes(t *testing.T) {
+	tech := techno.Default060()
+	ps, _ := Case(4)
+	d, err := SizeFoldedCascode(tech, Default65MHz(), ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n5 := d.Devices[MN5]
+	wmin, wmax := techno.NMToMeters(tech.Rules.ActiveWidth), 20000*techno.Micron
+	w, probes := device.Bisect(wmin, wmax, 80, func(w float64) bool {
+		m := device.MOS{Card: &tech.N, W: w, L: n5.L}
+		return m.IDSat(n5.Veff, n5.VSB, tech.Temp)-n5.ID < 0
+	})
+	if math.Float64bits(w) != math.Float64bits(n5.W) {
+		t.Fatalf("width search gives %x, the design's MN5 is %x", math.Float64bits(w), math.Float64bits(n5.W))
+	}
+	if probes != 58 {
+		t.Fatalf("MN5 width search made %d probes, want 58 (80 before the early stop)", probes)
 	}
 }
