@@ -25,13 +25,11 @@ import (
 	"math/cmplx"
 	"testing"
 
-	"loas/internal/circuit"
 	"loas/internal/core"
 	"loas/internal/device"
 	"loas/internal/layout"
 	"loas/internal/layout/cairo"
 	"loas/internal/layout/slicing"
-	"loas/internal/mc"
 	"loas/internal/repro"
 	"loas/internal/scfilter"
 	"loas/internal/sizing"
@@ -547,44 +545,3 @@ func BenchmarkShapeFunctionCached(b *testing.B) {
 	}
 	b.ReportMetric(fp.Area(), "area_um2")
 }
-
-// benchMCOffsetSample times one Monte-Carlo sample (bracket + 18
-// bisection solves) on either evaluation path.
-func benchMCOffsetSample(b *testing.B, perSolveRebuild bool) {
-	tech := techno.Default060()
-	spec := sizing.Default65MHz()
-	ps, _ := sizing.Case(1)
-	d, err := sizing.SizeFoldedCascode(tech, spec, ps)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := mc.OffsetConfig{
-		Build:           func() *circuit.Circuit { return d.Netlist("mcs") },
-		InP:             sizing.NetInP,
-		InN:             sizing.NetInN,
-		Out:             sizing.NetOut,
-		VicmDC:          0.645,
-		VoutMid:         1.41,
-		Temp:            tech.Temp,
-		NodeSet:         d.NodeSet(),
-		Workers:         1,
-		PerSolveRebuild: perSolveRebuild,
-	}
-	var samples []mc.OffsetSample
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		samples, err = mc.OffsetSamples(cfg, 0, 1, 42)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(samples[0].OffsetV*1e3, "offset_mV")
-}
-
-// BenchmarkMCSamplePerSolveRebuild: the legacy path — a fresh netlist
-// and engine for each of the ~21 solves of the sample.
-func BenchmarkMCSamplePerSolveRebuild(b *testing.B) { benchMCOffsetSample(b, true) }
-
-// BenchmarkMCSampleBatched: the batched path — one netlist and engine
-// per sample, only the input sources swept. Identical offsets.
-func BenchmarkMCSampleBatched(b *testing.B) { benchMCOffsetSample(b, false) }

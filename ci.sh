@@ -16,14 +16,18 @@ go build ./...
 # An internal change that breaks the benchmark program fails here.
 (cd perfbench && go vet ./... && go test -count=1 ./...)
 
-# Differential cold-path cache lane. The four cache layers (device-eval
-# memo, incremental extraction, shape-function cache, MC batching) are
-# only shippable while they are bit-invisible: the harness reruns every
-# topology with caches off vs on and demands hex-exact identity, and the
-# golden suites pin the absolute results (a cache that shifted a single
-# ULP fails here — never re-bless with -update to make this lane pass).
+# Differential cold-path cache lane. The three cache layers (device-eval
+# memo, incremental extraction, shape-function cache) are only shippable
+# while they are bit-invisible: the harness reruns every topology with
+# caches off vs on and demands hex-exact identity, and the golden suites
+# pin the absolute results (a cache that shifted a single ULP fails here
+# — never re-bless with -update to make this lane pass). The warm-started
+# offset searches are held to their cold-per-probe references the same
+# way; the Monte-Carlo one runs its samples on two workers, so the race
+# detector also sees that no warm state crosses a worker.
 go test -race -count=1 -run 'TestDifferential' ./internal/core
 go test -race -count=1 -run 'TestSessionIncremental' ./internal/layout/cairo
+go test -race -count=1 -run 'TestWarm' ./internal/mc ./internal/meas
 go test -count=1 -run 'Golden' ./internal/repro ./internal/serve
 
 # Allocation lane: the solver workspaces (reused LU storage, the

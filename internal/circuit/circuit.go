@@ -6,6 +6,7 @@ package circuit
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 
@@ -256,11 +257,13 @@ func (c *Circuit) NumNodes() int { return len(c.nodeNames) }
 
 // Add appends elements, interning their nodes, and returns the circuit for
 // chaining. Duplicate instance names are rejected with a panic: they are
-// programming errors in generators, never runtime conditions.
+// programming errors in generators, never runtime conditions. A name is a
+// duplicate within one element kind, and across the branch elements
+// (voltage sources and VCVSs), whose branch currents are reported by name.
 func (c *Circuit) Add(elems ...Element) *Circuit {
 	for _, e := range elems {
 		for _, prev := range c.Elements {
-			if prev.ElemName() == e.ElemName() && sameKind(prev, e) {
+			if prev.ElemName() == e.ElemName() && (sameKind(prev, e) || isBranch(prev) && isBranch(e)) {
 				panic(fmt.Sprintf("circuit %q: duplicate element %q", c.Name, e.ElemName()))
 			}
 		}
@@ -272,7 +275,16 @@ func (c *Circuit) Add(elems ...Element) *Circuit {
 	return c
 }
 
-func sameKind(a, b Element) bool { return fmt.Sprintf("%T", a) == fmt.Sprintf("%T", b) }
+func sameKind(a, b Element) bool { return reflect.TypeOf(a) == reflect.TypeOf(b) }
+
+// isBranch reports whether e adds a branch-current unknown.
+func isBranch(e Element) bool {
+	switch e.(type) {
+	case *VSource, *VCVS:
+		return true
+	}
+	return false
+}
 
 // FindMOS returns the named transistor or nil.
 func (c *Circuit) FindMOS(name string) *MOSFET {

@@ -52,6 +52,24 @@ func TestAddDuplicatePanics(t *testing.T) {
 	c.Add(&Resistor{Name: "1", A: "c", B: "d", R: 2})
 }
 
+// TestDuplicateBranchNamePanics: a voltage source and a VCVS both add a
+// branch current, reported by element name, so they may not share one.
+func TestDuplicateBranchNamePanics(t *testing.T) {
+	for _, order := range [][2]Element{
+		{&VSource{Name: "x", Pos: "a", Neg: "0", DC: 1}, &VCVS{Name: "x", Pos: "b", Neg: "0", CPos: "a", CNeg: "0", Gain: 4}},
+		{&VCVS{Name: "x", Pos: "b", Neg: "0", CPos: "a", CNeg: "0", Gain: 4}, &VSource{Name: "x", Pos: "a", Neg: "0", DC: 1}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%T and %T named %q must not coexist", order[0], order[1], "x")
+				}
+			}()
+			New("t").Add(order[0], order[1])
+		}()
+	}
+}
+
 func TestDuplicateAcrossKindsAllowed(t *testing.T) {
 	c := New("t")
 	c.Add(

@@ -89,8 +89,6 @@ type Options struct {
 // All layers key on exact bit patterns of their inputs, so results are
 // identical either way; the flags exist for the differential harness,
 // for benchmarking each layer's contribution, and as an escape hatch.
-// The fourth cold-path layer, Monte-Carlo batching, is not part of
-// synthesis: mc.OffsetConfig.PerSolveRebuild selects its legacy path.
 type CacheOptions struct {
 	// DisableEvalMemo turns off memoized device-model evaluation
 	// (width/bias bisections and design-point operating points) across

@@ -8,23 +8,21 @@ import (
 	"strings"
 	"testing"
 
-	"loas/internal/circuit"
 	"loas/internal/layout/route"
-	"loas/internal/mc"
 	"loas/internal/sizing"
 	"loas/internal/techno"
 )
 
 // The differential harness: every cold-path cache layer (device-eval
-// memo, incremental extraction, shape-function cache, Monte-Carlo
-// batching) must be bit-invisible. Each subtest runs the same synthesis
+// memo, incremental extraction, shape-function cache) must be
+// bit-invisible. Each subtest runs the same synthesis
 // twice — all caches disabled vs all enabled — and asserts hex-exact
 // byte identity of the Summary, the iteration trace, the parasitic
 // report and the full layout geometry. Timing fields are the only
 // exclusion (they measure the caches' purpose).
 
 // cachesOff disables all three synthesis cache layers; the zero value
-// enables them. Monte-Carlo batching is pinned by TestDifferentialMCBatch.
+// enables them.
 var cachesOff = CacheOptions{
 	DisableEvalMemo:           true,
 	DisableIncrementalExtract: true,
@@ -219,53 +217,4 @@ func TestDifferentialCachesRowsBackend(t *testing.T) {
 			diffFingerprints(t, run(cachesOff), run(CacheOptions{}))
 		})
 	}
-}
-
-// TestDifferentialMCBatch pins bit identity of the batched Monte-Carlo
-// evaluation against the per-solve-rebuild legacy path, sample by
-// sample, on a sized folded-cascode.
-func TestDifferentialMCBatch(t *testing.T) {
-	tech := techno.Default060()
-	spec := sizing.Default65MHz()
-	ps, err := sizing.Case(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := sizing.Lookup("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := plan.Size(tech, spec, ps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := mc.OffsetConfig{
-		Build:   func() *circuit.Circuit { return d.Netlist("mc") },
-		InP:     sizing.NetInP,
-		InN:     sizing.NetInN,
-		Out:     sizing.NetOut,
-		VicmDC:  0.5 * (spec.ICMLow + spec.ICMHigh),
-		VoutMid: 0.5 * (spec.OutLow + spec.OutHigh),
-		Temp:    tech.Temp,
-		NodeSet: d.NodeSet(),
-		Workers: 2,
-	}
-	const n, seed = 8, 7
-	run := func(rebuild bool) string {
-		c := cfg
-		c.PerSolveRebuild = rebuild
-		samples, err := mc.OffsetSamples(c, 0, n, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var b strings.Builder
-		for _, s := range samples {
-			fmt.Fprintf(&b, "%d %v %s\n", s.Index, s.OK, hx(s.OffsetV))
-		}
-		st := mc.ReduceOffsets(samples)
-		fmt.Fprintf(&b, "n=%d fail=%d mean=%s sigma=%s worst=%s\n",
-			st.N, st.Failures, hx(st.MeanV), hx(st.SigmaV), hx(st.WorstAbsV))
-		return b.String()
-	}
-	diffFingerprints(t, run(true), run(false))
 }

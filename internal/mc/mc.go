@@ -92,87 +92,75 @@ type OffsetConfig struct {
 	// carries (the daemon's phase/topology/run_id) reach the per-sample
 	// phase instrumentation. Nil means Background.
 	Ctx context.Context
-	// PerSolveRebuild selects the legacy evaluation that rebuilds the
-	// netlist and engine for every bisection probe instead of batching
-	// the ~21 solves of a sample onto one engine. The two paths are
-	// bit-identical (the engine is structural, source values are read at
-	// solve time, and every OP starts fresh from the node set); the flag
-	// exists for the differential harness and the batching benchmark.
-	PerSolveRebuild bool
 }
 
 // SimulateOffset nulls the output by bisection on the differential input
 // for one mismatch sample and returns the input-referred offset.
 func SimulateOffset(cfg OffsetConfig, s Sample) (float64, error) {
+	vid, _, err := simulateOffset(cfg, s)
+	return vid, err
+}
+
+// simulateOffset is SimulateOffset that also returns the Newton
+// iterations the search spent.
+//
+// The sample's netlist and engine are built once and only the input
+// sources move across the bisection. Every probe reads nothing but the
+// sign of V(out) − VoutMid, and the returned offset depends on nothing
+// else, so each probe after the first continues from the previous
+// probe's solution (sim.DCProbe.Warm) instead of re-running the gmin
+// continuation. A warm solution lies within a few pV of the cold one
+// (3.5e-12 V at most over 300 samples of each topology; DESIGN.md §4),
+// so only a result within sim.DefaultVTol of zero could take the other
+// sign; such a probe is re-solved cold, the solve OP would run.
+func simulateOffset(cfg OffsetConfig, s Sample) (float64, int, error) {
 	search := cfg.SearchMV
 	if search <= 0 {
 		search = 25
 	}
-	var solve func(vid float64) (float64, error)
-	if cfg.PerSolveRebuild {
-		// Legacy path: a fresh netlist and engine per bisection probe.
-		solve = func(vid float64) (float64, error) {
-			ckt := cfg.Build()
-			s.Apply(ckt)
-			ckt.Add(
-				&circuit.VSource{Name: "mcp", Pos: cfg.InP, Neg: circuit.Ground, DC: cfg.VicmDC + vid/2},
-				&circuit.VSource{Name: "mcn", Pos: cfg.InN, Neg: circuit.Ground, DC: cfg.VicmDC - vid/2},
-			)
-			eng := sim.NewEngine(ckt, cfg.Temp)
-			ns := map[string]float64{cfg.InP: cfg.VicmDC, cfg.InN: cfg.VicmDC, cfg.Out: cfg.VoutMid}
-			for k, v := range cfg.NodeSet {
-				ns[k] = v
-			}
-			op, err := eng.OP(sim.OPOptions{NodeSet: ns})
-			if err != nil {
+	ckt := cfg.Build()
+	s.Apply(ckt)
+	vp := &circuit.VSource{Name: "mcp", Pos: cfg.InP, Neg: circuit.Ground}
+	vn := &circuit.VSource{Name: "mcn", Pos: cfg.InN, Neg: circuit.Ground}
+	ckt.Add(vp, vn)
+	ns := map[string]float64{cfg.InP: cfg.VicmDC, cfg.InN: cfg.VicmDC, cfg.Out: cfg.VoutMid}
+	for k, v := range cfg.NodeSet {
+		ns[k] = v
+	}
+	p := sim.NewEngine(ckt, cfg.Temp).NewDCProbe(sim.OPOptions{NodeSet: ns})
+	solve := func(vid float64) (float64, error) {
+		vp.DC = cfg.VicmDC + vid/2
+		vn.DC = cfg.VicmDC - vid/2
+		if err := p.Warm(); err != nil {
+			return 0, err
+		}
+		f := p.Volt(cfg.Out) - cfg.VoutMid
+		if math.Abs(f) < sim.DefaultVTol {
+			if err := p.Cold(); err != nil {
 				return 0, err
 			}
-			return op.Volt(ckt, cfg.Out) - cfg.VoutMid, nil
+			f = p.Volt(cfg.Out) - cfg.VoutMid
 		}
-	} else {
-		// Batched path: build the sample's netlist and engine once and
-		// sweep only the input sources across the bisection. The engine
-		// holds structure, source DC values are read when stamping, and
-		// OP restarts from the node set every call, so each probe solves
-		// the very system the legacy path would.
-		ckt := cfg.Build()
-		s.Apply(ckt)
-		vp := &circuit.VSource{Name: "mcp", Pos: cfg.InP, Neg: circuit.Ground}
-		vn := &circuit.VSource{Name: "mcn", Pos: cfg.InN, Neg: circuit.Ground}
-		ckt.Add(vp, vn)
-		eng := sim.NewEngine(ckt, cfg.Temp)
-		ns := map[string]float64{cfg.InP: cfg.VicmDC, cfg.InN: cfg.VicmDC, cfg.Out: cfg.VoutMid}
-		for k, v := range cfg.NodeSet {
-			ns[k] = v
-		}
-		solve = func(vid float64) (float64, error) {
-			vp.DC = cfg.VicmDC + vid/2
-			vn.DC = cfg.VicmDC - vid/2
-			op, err := eng.OP(sim.OPOptions{NodeSet: ns})
-			if err != nil {
-				return 0, err
-			}
-			return op.Volt(ckt, cfg.Out) - cfg.VoutMid, nil
-		}
+		return f, nil
 	}
 	lo, hi := -search*1e-3, search*1e-3
 	fLo, err := solve(lo)
 	if err != nil {
-		return 0, err
+		return 0, p.Newton, err
 	}
 	fHi, err := solve(hi)
 	if err != nil {
-		return 0, err
+		return 0, p.Newton, err
 	}
 	if math.Signbit(fLo) == math.Signbit(fHi) {
-		return 0, fmt.Errorf("mc: offset outside ±%.0f mV search window", search)
+		return 0, p.Newton, fmt.Errorf("mc: offset outside ±%.0f mV search window", search)
 	}
 	var vid float64
 	for i := 0; i < 18; i++ {
 		vid = 0.5 * (lo + hi)
 		f, err := solve(vid)
 		if err != nil {
-			return 0, err
+			return 0, p.Newton, err
 		}
 		if math.Signbit(f) == math.Signbit(fLo) {
 			lo = vid
@@ -180,7 +168,7 @@ func SimulateOffset(cfg OffsetConfig, s Sample) (float64, error) {
 			hi = vid
 		}
 	}
-	return vid, nil
+	return vid, p.Newton, nil
 }
 
 // OffsetStats summarizes a Monte-Carlo offset run. The JSON tags are

@@ -63,7 +63,7 @@ func Measure(b Bench) (*Report, error) {
 	}
 
 	// 3. CMRR at low frequency.
-	if err := b.cmrr(voff, &rep.Perf); err != nil {
+	if err := b.cmrr(eng, ckt, op, voff, &rep.Perf); err != nil {
 		return nil, fmt.Errorf("meas: CMRR: %w", err)
 	}
 
@@ -99,8 +99,9 @@ func supplyVoltage(ckt *circuit.Circuit, name string) float64 {
 // the common mode, load at the output.
 func (b *Bench) openLoop(vid float64, acDiff, acCM bool) *circuit.Circuit {
 	ckt := b.Build()
-	vp := &circuit.VSource{Name: "tbip", Pos: b.InP, Neg: circuit.Ground, DC: b.VicmDC + vid/2}
-	vn := &circuit.VSource{Name: "tbin", Pos: b.InN, Neg: circuit.Ground, DC: b.VicmDC - vid/2}
+	vp := &circuit.VSource{Name: "tbip", Pos: b.InP, Neg: circuit.Ground}
+	vn := &circuit.VSource{Name: "tbin", Pos: b.InN, Neg: circuit.Ground}
+	b.setInputs(vp, vn, vid)
 	if acDiff {
 		vp.ACMag, vp.ACPhase = 0.5, 0
 		vn.ACMag, vn.ACPhase = 0.5, 180
@@ -114,6 +115,25 @@ func (b *Bench) openLoop(vid float64, acDiff, acCM bool) *circuit.Circuit {
 	return ckt
 }
 
+// setInputs drives the differential input vid around the common mode.
+func (b *Bench) setInputs(vp, vn *circuit.VSource, vid float64) {
+	vp.DC = b.VicmDC + vid/2
+	vn.DC = b.VicmDC - vid/2
+}
+
+// inputSources returns an open-loop bench's two input sources.
+func inputSources(ckt *circuit.Circuit) (vp, vn *circuit.VSource) {
+	for _, v := range ckt.VSources() {
+		switch v.Name {
+		case "tbip":
+			vp = v
+		case "tbin":
+			vn = v
+		}
+	}
+	return vp, vn
+}
+
 func (b *Bench) nodeSet() map[string]float64 {
 	ns := map[string]float64{b.InP: b.VicmDC, b.InN: b.VicmDC, b.Out: b.VoutMid}
 	for k, v := range b.NodeSet {
@@ -125,18 +145,35 @@ func (b *Bench) nodeSet() map[string]float64 {
 // findOffset bisects the differential input for V(out) = VoutMid. It
 // returns the bench at the final input and the number of DC solves spent:
 // the two bracket ends plus every bisection step.
+//
+// The probes run on one bench whose input sources move, and each probe
+// after the first continues from the previous one's solution
+// (sim.DCProbe.Warm). A probe reads only the sign of V(out) − VoutMid and
+// whether its magnitude is under 0.1 mV, and a warm solution lies within
+// a few pV of the cold one, so a probe is re-solved cold only when the
+// result lies within sim.DefaultVTol of either decision threshold. The
+// reported bench at the final input is built and solved cold, exactly as
+// a cold probe there would be, so every number measured at it is
+// unchanged by the warm starts.
 func (b *Bench) findOffset() (vid float64, op *sim.OPResult, eng *sim.Engine, ckt *circuit.Circuit, solves int, err error) {
-	// solve leaves the bench at differential input v in op, eng and ckt
-	// and returns V(out) − VoutMid.
+	probeCkt := b.openLoop(0, true, false)
+	vp, vn := inputSources(probeCkt)
+	p := sim.NewEngine(probeCkt, b.Temp).NewDCProbe(sim.OPOptions{NodeSet: b.nodeSet()})
+	// solve probes differential input v and returns V(out) − VoutMid.
 	solve := func(v float64) (float64, error) {
 		solves++
-		ckt = b.openLoop(v, true, false)
-		eng = sim.NewEngine(ckt, b.Temp)
-		var err error
-		if op, err = eng.OP(sim.OPOptions{NodeSet: b.nodeSet()}); err != nil {
+		b.setInputs(vp, vn, v)
+		if err := p.Warm(); err != nil {
 			return 0, err
 		}
-		return op.Volt(ckt, b.Out) - b.VoutMid, nil
+		f := p.Volt(b.Out) - b.VoutMid
+		if a := math.Abs(f); a < sim.DefaultVTol || math.Abs(a-offsetTol) < sim.DefaultVTol {
+			if err := p.Cold(); err != nil {
+				return 0, err
+			}
+			f = p.Volt(b.Out) - b.VoutMid
+		}
+		return f, nil
 	}
 	lo, hi := -20e-3, 20e-3
 	fLo, err := solve(lo)
@@ -150,7 +187,8 @@ func (b *Bench) findOffset() (vid float64, op *sim.OPResult, eng *sim.Engine, ck
 	if math.Signbit(fLo) == math.Signbit(fHi) {
 		// Gain polarity or extreme offset: report the midpoint result
 		// rather than failing (the numbers will say what is wrong).
-		_, err = solve(0)
+		solves++
+		op, eng, ckt, err = b.solvedOpenLoop(0)
 		return 0, op, eng, ckt, solves, err
 	}
 	// With V(out) monotone in vid (positive gain through InP), bisect.
@@ -160,7 +198,7 @@ func (b *Bench) findOffset() (vid float64, op *sim.OPResult, eng *sim.Engine, ck
 		if err != nil {
 			return 0, nil, nil, nil, solves, err
 		}
-		if math.Abs(fm) < 1e-4 || hi-lo < 1e-9 {
+		if math.Abs(fm) < offsetTol || hi-lo < 1e-9 {
 			break
 		}
 		if math.Signbit(fm) == math.Signbit(fLo) {
@@ -169,8 +207,23 @@ func (b *Bench) findOffset() (vid float64, op *sim.OPResult, eng *sim.Engine, ck
 			hi = vid
 		}
 	}
+	if op, eng, ckt, err = b.solvedOpenLoop(vid); err != nil {
+		return 0, nil, nil, nil, solves, err
+	}
 	return vid, op, eng, ckt, solves, nil
 }
+
+// solvedOpenLoop builds the differential open-loop bench at input vid and
+// solves its operating point cold.
+func (b *Bench) solvedOpenLoop(vid float64) (*sim.OPResult, *sim.Engine, *circuit.Circuit, error) {
+	ckt := b.openLoop(vid, true, false)
+	eng := sim.NewEngine(ckt, b.Temp)
+	op, err := eng.OP(sim.OPOptions{NodeSet: b.nodeSet()})
+	return op, eng, ckt, err
+}
+
+// offsetTol is the output error at which the offset search stops.
+const offsetTol = 1e-4
 
 // acGainSweep measures DC gain, GBW and phase margin from the
 // differential AC response and returns the AC solves it spent.
@@ -194,29 +247,22 @@ func (b *Bench) acGainSweep(eng *sim.Engine, ckt *circuit.Circuit, op *sim.OPRes
 	return 1 + c.Solves, nil
 }
 
-// cmrr measures Adm/Acm at 1 kHz.
-func (b *Bench) cmrr(voff float64, p *sizing.Performance) error {
+// cmrr measures Adm/Acm at 1 kHz at the offset operating point op of
+// the differential bench eng/ckt. The common-mode bench differs from the
+// differential one only in its sources' AC magnitudes and phases, which
+// the DC solve never reads, and has the same nodes in the same order, so
+// op is bit-identical to the operating point a cold OP of the
+// common-mode bench would find; both AC solves run at op.
+func (b *Bench) cmrr(eng *sim.Engine, ckt *circuit.Circuit, op *sim.OPResult, voff float64, p *sizing.Performance) error {
 	const f = 1e3
-	// Differential gain.
-	cktD := b.openLoop(voff, true, false)
-	engD := sim.NewEngine(cktD, b.Temp)
-	opD, err := engD.OP(sim.OPOptions{NodeSet: b.nodeSet()})
+	resD, err := eng.AC(op, []float64{f})
 	if err != nil {
 		return err
 	}
-	resD, err := engD.AC(opD, []float64{f})
-	if err != nil {
-		return err
-	}
-	adm := cmplx.Abs(resD[0].Volt(cktD, b.Out))
+	adm := cmplx.Abs(resD[0].Volt(ckt, b.Out))
 
 	cktC := b.openLoop(voff, false, true)
-	engC := sim.NewEngine(cktC, b.Temp)
-	opC, err := engC.OP(sim.OPOptions{NodeSet: b.nodeSet()})
-	if err != nil {
-		return err
-	}
-	resC, err := engC.AC(opC, []float64{f})
+	resC, err := sim.NewEngine(cktC, b.Temp).AC(op, []float64{f})
 	if err != nil {
 		return err
 	}

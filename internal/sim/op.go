@@ -9,6 +9,10 @@ import (
 	"loas/internal/linalg"
 )
 
+// DefaultVTol is the Newton voltage convergence tolerance when
+// OPOptions.VTol is unset.
+const DefaultVTol = 1e-6
+
 // OPOptions tunes the DC solver.
 type OPOptions struct {
 	// NodeSet seeds initial node voltages by name (good seeds from the
@@ -16,7 +20,8 @@ type OPOptions struct {
 	NodeSet map[string]float64
 	// MaxIter per gmin step (default 200).
 	MaxIter int
-	// VTol is the voltage convergence tolerance (default 1 µV).
+	// VTol is the voltage convergence tolerance (default DefaultVTol,
+	// 1 µV).
 	VTol float64
 	// MaxStep clamps the Newton update per unknown (default 0.5 V).
 	MaxStep float64
@@ -29,7 +34,7 @@ func (o *OPOptions) defaults() {
 		o.MaxIter = 200
 	}
 	if o.VTol <= 0 {
-		o.VTol = 1e-6
+		o.VTol = DefaultVTol
 	}
 	if o.MaxStep <= 0 {
 		o.MaxStep = 0.5
@@ -216,6 +221,8 @@ type newton struct {
 	j     *linalg.Real
 	f, dx []float64
 	lu    linalg.LUReal
+	// backup holds polish's fallback point, allocated at first use.
+	backup []float64
 }
 
 func (e *Engine) newNewton() *newton {
@@ -267,60 +274,83 @@ func (nw *newton) solveAt(x []float64, gmin, srcScale, tNow float64, extra func(
 func (e *Engine) OP(opts OPOptions) (*OPResult, error) {
 	opts.defaults()
 	x := make([]float64, e.size)
+	it, err := e.newNewton().cold(x, &opts)
+	if err != nil {
+		return nil, err
+	}
+	return e.finishOP(x, it), nil
+}
+
+// cold solves from the node set into x: gmin continuation, sweeping gmin
+// down in decades and warm-starting each rung from the previous one, then
+// the polish. A failed rung falls back to source stepping from scratch.
+// It returns the Newton iterations of the path that produced x.
+func (nw *newton) cold(x []float64, opts *OPOptions) (int, error) {
+	clear(x)
 	for name, v := range opts.NodeSet {
-		if i, ok := e.Ckt.NodeIndex(name); ok && i > 0 {
-			x[e.nodeUnknown(i)] = v
+		if i, ok := nw.e.Ckt.NodeIndex(name); ok && i > 0 {
+			x[nw.e.nodeUnknown(i)] = v
 		}
 	}
-
-	nw := e.newNewton()
 	totalIter := 0
-	// Gmin continuation: sweep gmin down in decades, warm-starting each
-	// solve from the previous one. A failed rung falls back to source
-	// stepping from scratch.
 	for gmin := opts.GminStart; ; gmin /= 10 {
 		if gmin < opts.GminEnd {
 			gmin = opts.GminEnd
 		}
-		it, err := nw.solve(x, gmin, 1.0, &opts)
+		it, err := nw.solve(x, gmin, 1.0, opts)
 		totalIter += it
 		if err != nil {
-			return e.opSourceStepping(nw, opts)
+			return nw.sourceStepping(x, opts)
 		}
 		if gmin == opts.GminEnd {
 			break
 		}
 	}
-	nw.polish(x, &opts, &totalIter)
-	return e.finishOP(x, totalIter), nil
+	nw.polish(x, opts, &totalIter)
+	return totalIter, nil
+}
+
+// warm moves x, a converged solution at nearby source values, to the
+// current ones: Newton at GminEnd from x, then the polish. On error x
+// holds the failed iterate.
+func (nw *newton) warm(x []float64, opts *OPOptions) (int, error) {
+	it, err := nw.solve(x, opts.GminEnd, 1.0, opts)
+	if err != nil {
+		return it, err
+	}
+	nw.polish(x, opts, &it)
+	return it, nil
 }
 
 // polish runs a final Newton pass with gmin removed entirely, so the
 // reported solution carries no continuation bias. Failure (a circuit that
 // genuinely needs gmin, e.g. a floating node) keeps the last good point.
 func (nw *newton) polish(x []float64, opts *OPOptions, totalIter *int) {
-	backup := make([]float64, len(x))
-	copy(backup, x)
+	if nw.backup == nil {
+		nw.backup = make([]float64, len(x))
+	}
+	copy(nw.backup, x)
 	it, err := nw.solve(x, 0, 1.0, opts)
 	*totalIter += it
 	if err != nil {
-		copy(x, backup)
+		copy(x, nw.backup)
 	}
 }
 
-// opSourceStepping ramps all independent sources from 0 to full value.
-func (e *Engine) opSourceStepping(nw *newton, opts OPOptions) (*OPResult, error) {
-	x := make([]float64, e.size)
+// sourceStepping ramps all independent sources from 0 to full value,
+// starting x from zero.
+func (nw *newton) sourceStepping(x []float64, opts *OPOptions) (int, error) {
+	clear(x)
 	total := 0
 	for _, scale := range []float64{0.05, 0.1, 0.2, 0.3, 0.45, 0.6, 0.75, 0.9, 1.0} {
-		it, err := nw.solve(x, 1e-9, scale, &opts)
+		it, err := nw.solve(x, 1e-9, scale, opts)
 		total += it
 		if err != nil {
-			return nil, fmt.Errorf("sim: source stepping failed at scale %.2f: %w", scale, err)
+			return total, fmt.Errorf("sim: source stepping failed at scale %.2f: %w", scale, err)
 		}
 	}
-	nw.polish(x, &opts, &total)
-	return e.finishOP(x, total), nil
+	nw.polish(x, opts, &total)
+	return total, nil
 }
 
 // finishOP packages the solution vector.
